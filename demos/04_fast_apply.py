@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
 """Run the factored transform on data and count the arithmetic.
 
-The doubled transforms never materialize a dense matrix on the fast
-path: a perfect shuffle, two catalog blocks, a sign-pattern mixing stage
-and one butterfly do all the work in adds and bit shifts.  On integer
-input the whole pipeline is exact.
+The fast path compiles the factors once into a plan of stages and never
+multiplies by the doubled transform's dense matrix: the perfect shuffle
+and the sign-pattern mixing stages become gathers, each butterfly one
+add and one subtract, and the catalog blocks one batched dense 8x8
+product, the only matrix product left.  (The mixing factors themselves
+are stored as dense dyadic matrices, so that they can be costed and
+printed.)
+On integer input the plan runs in int64 numerators over one power-of-two
+shift and is exact.
 """
 import numpy as np
 
@@ -45,6 +50,10 @@ def main() -> None:
     for factor in ft.factors:
         a, s = factor.cost()
         print(f"  {factor.kind.value:<12} size={factor.size:<3d} adds={a:<4d} shifts={s}")
+    print()
+    print("compiled plan, in application order (first stage runs first):")
+    for line in ft.plan.lines():
+        print("  " + line)
     print()
     print("machine-readable description is one call away:")
     print("  to_json(ft) ->", len(to_json(ft)), "bytes")

@@ -2,9 +2,9 @@
 
 Verbs: ``gen`` (print exact/structural matrices), ``scale`` (double a seed
 and report its error), ``metrics`` (one figure-of-merit row), ``apply``
-(transform vectors from a file, optionally through the exact integer
-path), ``tables`` (recompute the bundled reference tables with deltas),
-and ``verify`` (residuals of all exact identities).
+(transform vectors from a file, optionally as one batch through the exact
+integer path), ``tables`` (recompute the bundled reference tables with
+deltas), and ``verify`` (residuals of all exact identities).
 
 Output is deterministic: identical arguments produce byte-identical text.
 All output for a command is assembled first and printed in one piece, so
@@ -28,7 +28,7 @@ from .exact import (
     transform_matrix,
     verify_identity,
 )
-from .matkit import as_real, frobenius_distance
+from .matkit import as_real, canonical, dyadic_str, frobenius_distance
 from .scaler import METHOD_IDS, normalize_method, scale, scale_to
 
 RESIDUAL_BOUND = 1e-10
@@ -136,13 +136,21 @@ def _cmd_apply(args) -> tuple[str, int]:
     if args.int:
         if scaled.factored is None:
             raise _CliError("--int needs a dyadic method (JAM or I..VII)")
+        rows = []
         for tokens in vectors:
             try:
-                vec = [int(t) for t in tokens]
+                rows.append([int(t) for t in tokens])
             except ValueError:
                 raise _CliError(f"--int requires integer inputs, got {tokens!r}") from None
-            result = fastpath.apply(scaled.factored, vec)
-            lines.append(" ".join(str(v) for v in result))
+        try:
+            batch = np.array(rows, dtype=np.int64).T
+        except OverflowError:
+            raise _CliError("--int inputs must fit in 64-bit integers") from None
+        # one exact (N, B) product; column b is the image of vector b
+        result = fastpath.apply(scaled.factored, batch)
+        nums, shifts = canonical(result.numerators(), result.shift)
+        for col_nums, col_shifts in zip(nums.T.tolist(), shifts.T.tolist()):
+            lines.append(" ".join(map(dyadic_str, col_nums, col_shifts)))
     else:
         for tokens in vectors:
             vec = np.array([float(t) for t in tokens])

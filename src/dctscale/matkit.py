@@ -119,13 +119,83 @@ class DyadicRational:
         """True when the value is +1 or -1 (applying it is free)."""
         return self.shift == 0 and abs(self.numerator) == 1
 
+    @classmethod
+    def from_numerators(cls, num: np.ndarray, shift: int) -> list["DyadicRational"]:
+        """Canonical values ``num[i] / 2**shift`` of an int64 vector.
+
+        Canonical forms come from :func:`canonical` in one vectorized pass,
+        so each value is built without re-running the reduction loop.
+        """
+        nums, shifts = canonical(num, shift)
+        new, put_num, put_shift = cls.__new__, cls.numerator.__set__, cls.shift.__set__
+        out = []
+        for n, s in zip(nums.tolist(), shifts.tolist()):
+            value = new(cls)
+            put_num(value, n)
+            put_shift(value, s)
+            out.append(value)
+        return out
+
     def __repr__(self) -> str:
         return f"DyadicRational({self})"
 
     def __str__(self) -> str:
-        if self.shift == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/{1 << self.shift}"
+        return dyadic_str(self.numerator, self.shift)
+
+
+def dyadic_str(numerator: int, shift: int) -> str:
+    """``"p"`` or ``"p/2^s"`` text of a canonical dyadic value."""
+    if shift == 0:
+        return str(numerator)
+    return f"{numerator}/{1 << shift}"
+
+
+def canonical(num: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entry canonical (numerator, shift) arrays of ``num / 2**shift``.
+
+    Each entry drops the powers of two it shares with ``2**shift``; zeros
+    get shift 0.  Raises OverflowError for numerators beyond 62 bits.
+    """
+    num = np.asarray(num, dtype=np.int64)
+    if num.size and (num.max() >= _NUM_LIMIT or num.min() <= -_NUM_LIMIT):
+        raise OverflowError(f"dyadic numerator exceeds {NUMERATOR_BITS} bits")
+    if shift == 0:
+        return num, np.zeros_like(num)
+    # the lowest set bit of num | 2**cap is 2**min(trailing zeros, cap), and
+    # 2**cap for a zero; as an exact power of two frexp reads its exponent
+    cap = min(shift, NUMERATOR_BITS)
+    padded = num | (1 << cap)
+    drop = np.frexp((padded & -padded).astype(np.float64))[1] - 1
+    shifts = shift - drop
+    if cap < shift:
+        shifts[num == 0] = 0
+    return num >> drop, shifts
+
+
+def aligned_numerators(values: Iterable) -> tuple[list[int], int]:
+    """Numerators of ints and DyadicRationals over their largest shift."""
+    values = list(values)
+    shifts = [v.shift for v in values if isinstance(v, DyadicRational)]
+    if not shifts:
+        return [int(v) for v in values], 0
+    shift = max(shifts)
+    return [
+        v.numerator << (shift - v.shift) if isinstance(v, DyadicRational) else int(v) << shift
+        for v in values
+    ], shift
+
+
+def check_growth(peak: int, growth: int) -> None:
+    """Raise OverflowError unless ``peak * growth`` stays below 2**62.
+
+    ``peak`` bounds the input magnitudes and ``growth`` the worst-case gain
+    of a product, so int64 arithmetic under this bound never wraps.
+    """
+    if peak * growth >= _NUM_LIMIT:
+        raise OverflowError(
+            f"input magnitude {peak} times worst-case growth {growth} "
+            f"reaches 2**{NUMERATOR_BITS}"
+        )
 
 
 def _as_int_array(values) -> np.ndarray:
@@ -306,22 +376,25 @@ class DyadicMatrix:
     def __hash__(self):
         return hash((self.shape, self._shift, self._num.tobytes()))
 
+    def row_norm(self) -> int:
+        """Largest row-L1 norm of the numerators: the worst-case gain of ``apply``.
+
+        Summed as Python integers, so a wide row of large numerators cannot wrap.
+        """
+        return int(np.abs(self._num).sum(axis=1, dtype=object).max(initial=0))
+
     def apply(self, x: Sequence) -> list[DyadicRational]:
-        """Exact matrix-vector product; ``x`` holds ints or DyadicRationals."""
+        """Exact matrix-vector product; ``x`` holds ints or DyadicRationals.
+
+        The inputs are aligned to one shift and multiplied as int64; inputs
+        whose worst-case product could reach 62 bits raise OverflowError.
+        """
         if len(x) != self.cols:
             raise ValueError("vector length mismatch")
-        vec = [
-            v if isinstance(v, DyadicRational) else DyadicRational(v) for v in x
-        ]
-        out = []
-        for i in range(self.rows):
-            acc = DyadicRational(0)
-            for j, v in enumerate(vec):
-                nij = int(self._num[i, j])
-                if nij:
-                    acc = acc + DyadicRational(nij, self._shift) * v
-            out.append(acc)
-        return out
+        nums, shift = aligned_numerators(x)
+        check_growth(max(map(abs, nums), default=0), self.row_norm())
+        vec = np.array(nums, dtype=np.int64)
+        return DyadicRational.from_numerators(self._num @ vec, self._shift + shift)
 
     def __repr__(self) -> str:
         return f"DyadicMatrix({self._num.tolist()}, shift={self._shift})"

@@ -310,6 +310,22 @@ def test_apply_errors(capsys, tmp_path, vec16):
     assert code == 2 and "--int needs a dyadic method" in err
 
 
+def test_apply_int_batch_refuses_bad_lines_and_overflow(capsys, tmp_path):
+    argv = ["apply", "--approx", "rdct", "--method", "VI", "--size", "16", "--int", "--input"]
+    good = " ".join(str(v) for v in range(16))
+    cases = {
+        "later line not an integer": (good + "\n" + "x " * 16, "--int requires integer inputs"),
+        "past the 62-bit bound": (good + "\n" + " ".join([str(1 << 61)] * 16), "2**62"),
+        "past 64 bits": (good + "\n" + " ".join([str(1 << 64)] * 16), "64-bit integers"),
+    }
+    for name, (text, message) in cases.items():
+        path = tmp_path / "vectors.txt"
+        path.write_text(text + "\n")
+        code, out, err = _run(capsys, argv + [str(path)])
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, name
+
+
 # ── tables ─────────────────────────────────────────────────────────────────
 
 

@@ -2,14 +2,18 @@
 
 The cost model is checked against the published operation counts for the
 doubled 8-point approximations (adds = 2A + 2N per doubling, shifts = 2S)
-and the integer path is checked bit-exactly against the dense product.
+and the integer path is checked bit-exactly against the dense product,
+including hypothesis properties of the compiled plan up to N = 256.
 """
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from dctscale import catalog
 from dctscale.exact import (
@@ -30,7 +34,7 @@ from dctscale.fastpath import (
     to_json,
 )
 from dctscale.matkit import DyadicMatrix, DyadicRational
-from dctscale.scaler import scale, scale_to
+from dctscale.scaler import DYADIC_METHOD_IDS, scale, scale_to
 
 RDCT = catalog.load("rdct")
 SDCT = catalog.load("sdct")
@@ -203,6 +207,132 @@ def test_apply_length_mismatch():
     ft = scale(RDCT.matrix, "JAM").factored
     with pytest.raises(ValueError, match="length 16"):
         apply(ft, [1, 2, 3])
+
+
+def test_apply_integer_vector_array_is_exact():
+    scaled = scale(SDCT.matrix, "III")
+    x = np.arange(-8, 8, dtype=np.int32)
+    out = apply(scaled.factored, x)
+    assert all(isinstance(v, DyadicRational) for v in out)
+    assert out == _dense_exact(scaled.dyadic.numerators(), scaled.dyadic.shift, x.tolist())
+
+
+def test_apply_integer_batch_returns_dyadic_matrix():
+    scaled = scale_to(RDCT.matrix, 32, ("VII", "II"))
+    x = np.random.default_rng(909).integers(-256, 256, size=(32, 5))
+    out = apply(scaled.factored, x)
+    assert isinstance(out, DyadicMatrix)
+    assert out == scaled.dyadic @ DyadicMatrix(x)
+    for b in range(5):
+        assert out.numerators()[:, b].tolist() == [
+            v.numerator << (out.shift - v.shift) for v in apply(scaled.factored, x[:, b])
+        ]
+
+
+def test_apply_integer_array_shape_errors():
+    ft = scale(RDCT.matrix, "JAM").factored
+    for shape in ((4, 16), (16, 2, 2), (), (15,)):
+        with pytest.raises(ValueError, match=r"shape \(16,\) or \(16, B\)"):
+            apply(ft, np.zeros(shape, dtype=np.int64))
+
+
+def test_plan_is_lazy_and_cached():
+    ft = scale(RDCT.matrix, "VI", base_cost=(22, 0)).factored
+    ft.cost()
+    assert "plan" not in vars(ft)
+    apply(ft, list(range(16)))
+    assert ft.plan is vars(ft)["plan"]
+    text = str(ft.plan)
+    assert "butterfly 16" in text and "dense 8x8" in text and "2 identical blocks of 8" in text
+
+
+# ── differential properties: engine against the dense exact product ───────
+
+
+@functools.lru_cache(maxsize=None)
+def _built(approx_id: str, chain: tuple[str, ...]):
+    entry = catalog.load(approx_id)
+    size = 8 << len(chain)
+    return scale_to(entry.matrix, size, chain, base_cost=(entry.baseline_adds, entry.baseline_shifts))
+
+
+def _chains(max_levels: int):
+    return st.integers(1, max_levels).flatmap(
+        lambda levels: st.lists(
+            st.sampled_from(DYADIC_METHOD_IDS), min_size=levels, max_size=levels
+        ).map(tuple)
+    )
+
+
+def _dense_exact(num: np.ndarray, shift: int, x) -> list[DyadicRational]:
+    """``num @ x`` over ``2**shift`` in Python integers, ``x`` holding ints."""
+    return [DyadicRational(int(v), shift) for v in num.astype(object) @ np.array(x, dtype=object)]
+
+
+def _check_against_dense(scaled, data) -> None:
+    ft = scaled.factored
+    num, shift, n = scaled.dyadic.numerators(), scaled.dyadic.shift, scaled.size
+    event(f"N={n}")
+    bound = ((1 << 62) - 1) // ft.plan.growth
+    # integers up to the bound, with the bound itself attained
+    x = data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+    x[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from((bound, -bound)))
+    assert apply(ft, x) == _dense_exact(num, shift, x)
+    # one step past the bound raises instead of wrapping
+    x[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from((bound + 1, -bound - 1)))
+    with pytest.raises(OverflowError):
+        apply(ft, x)
+    with pytest.raises(OverflowError):
+        apply(ft, np.array(x, dtype=np.int64)[:, None])
+    # dyadic rationals with mixed shifts
+    nums = data.draw(st.lists(st.integers(-(2**12), 2**12), min_size=n, max_size=n))
+    shifts = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    values = [DyadicRational(v, s) for v, s in zip(nums, shifts)]
+    common = max(v.shift for v in values)
+    aligned = [v.numerator << (common - v.shift) for v in values]
+    assert apply(ft, values) == _dense_exact(num, shift + common, aligned)
+    # the float path, one vector and one batch
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for xf in (rng.normal(size=n), rng.normal(size=(n, 7))):
+        want = scaled.dense @ xf
+        got = apply(ft, xf)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+_PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True)
+
+
+@_PROPERTY
+@given(approx_id=st.sampled_from(catalog.APPROXIMATION_IDS), chain=_chains(4), data=st.data())
+def test_engine_matches_dense_product(approx_id, chain, data):
+    _check_against_dense(_built(approx_id, chain), data)
+
+
+@settings(_PROPERTY, max_examples=8)
+@given(data=st.data())
+def test_engine_matches_dense_product_n256(data):
+    _check_against_dense(_built("bas2", ("VII", "IV", "III", "VI", "I")), data)
+
+
+@_PROPERTY
+@given(
+    members=st.lists(st.sampled_from(catalog.APPROXIMATION_IDS), min_size=3, max_size=3),
+    levels=st.integers(1, 2),
+    data=st.data(),
+)
+def test_engine_heterogeneous_block_diag(members, levels, data):
+    chains = st.lists(st.sampled_from(DYADIC_METHOD_IDS), min_size=levels, max_size=levels)
+    a, b, c = (_built(m, tuple(data.draw(chains))).factored for m in members)
+    # distinct blocks with distinct shifts, one of them a composition
+    ft = FactoredTransform(2 * a.size, (Factor.block_diag((a, compose(b, c))),))
+    whole = ft.dyadic()
+    n = ft.size
+    x = data.draw(st.lists(st.integers(-(2**20), 2**20), min_size=n, max_size=n))
+    assert apply(ft, x) == _dense_exact(whole.numerators(), whole.shift, x)
+    xf = np.random.default_rng(len(x)).normal(size=(n, 3))
+    want = whole.to_real() @ xf
+    assert np.max(np.abs(apply(ft, xf) - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 # ── composition ────────────────────────────────────────────────────────────

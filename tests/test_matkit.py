@@ -19,6 +19,7 @@ from dctscale.matkit import (
     DyadicRational,
     Permutation,
     as_real,
+    canonical,
     diag_inv_sqrt,
     frobenius_distance,
     is_diagonal,
@@ -194,6 +195,29 @@ def test_matrix_apply_exact():
     assert out[1] == DyadicRational(8)
     with pytest.raises(ValueError):
         m.apply([1, 2, 3])
+
+
+def test_matrix_apply_refuses_possible_overflow():
+    m = DyadicMatrix([[1, -1], [0, 3]])
+    assert m.row_norm() == 3
+    top = ((1 << 62) - 1) // 3
+    assert m.apply([top, -top])[1] == DyadicRational(-3 * top)
+    with pytest.raises(OverflowError):
+        m.apply([top + 1, 0])
+    wide = DyadicMatrix(np.full((1, 8), (1 << 61) + 1, dtype=np.int64))
+    assert wide.row_norm() == 8 * ((1 << 61) + 1)
+    with pytest.raises(OverflowError):
+        wide.apply([1] * 8)
+
+
+def test_canonical_matches_dyadic_rational():
+    num = np.array([0, 1, -2, 12, -(1 << 40), (1 << 61) + 2], dtype=np.int64)
+    for shift in (0, 1, 3, 62, 70):
+        nums, shifts = canonical(num, shift)
+        for v, n, s in zip(num.tolist(), nums.tolist(), shifts.tolist()):
+            want = DyadicRational(v, shift)
+            assert (n, s) == (want.numerator, want.shift)
+        assert DyadicRational.from_numerators(num, shift) == [DyadicRational(v, shift) for v in num.tolist()]
 
 
 def test_matrix_equality_and_max_entry_shift():
