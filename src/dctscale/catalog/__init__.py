@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..exact import TransformKind, transform_matrix
-from ..matkit import DyadicMatrix, DyadicRational, as_real, is_diagonal
+from ..matkit import DyadicMatrix, as_real, canonical, is_diagonal
 
 _DATA_DIR = Path(__file__).resolve().parent
 
@@ -61,16 +61,6 @@ _SOURCES: dict[str, str] = {
 
 #: Members whose Gram matrix T T^T is exactly diagonal (all but the signed DCT).
 DIAGONAL_GRAM_IDS: frozenset[str] = frozenset(APPROXIMATION_IDS) - {"sdct"}
-
-_ALLOWED_ENTRIES = {
-    DyadicRational(0),
-    DyadicRational(1),
-    DyadicRational(-1),
-    DyadicRational(2),
-    DyadicRational(-2),
-    DyadicRational(1, 1),
-    DyadicRational(-1, 1),
-}
 
 
 @dataclass(frozen=True)
@@ -147,13 +137,17 @@ def _validate(entry: ApproximationEntry) -> None:
     m = entry.matrix
     if m.shape != (8, 8):
         raise ValueError(f"{entry.id}: expected an 8x8 matrix, got {m.shape}")
-    for row in m.entries():
-        for e in row:
-            if abs(e) not in _ALLOWED_ENTRIES:
-                raise ValueError(
-                    f"{entry.id}: entry {e} outside the low-complexity set"
-                )
-    gram_diagonal = is_diagonal((m @ m.T).to_real(), tol=0.0)
+    num = m.numerators()
+    # the low-complexity set {0, +-1, +-2, +-1/2}, on canonical entries
+    nums, shifts = canonical(num, m.shift)
+    allowed = np.where(shifts == 0, np.abs(nums) <= 2, (shifts == 1) & (np.abs(nums) == 1))
+    if not allowed.all():
+        i, j = np.argwhere(~allowed)[0]
+        raise ValueError(
+            f"{entry.id}: entry {m.entry(i, j)} outside the low-complexity set"
+        )
+    # diagonality of the Gram is the same on the numerators, which are exact
+    gram_diagonal = is_diagonal(num @ num.T, tol=0.0)
     if gram_diagonal != (entry.id in DIAGONAL_GRAM_IDS):
         raise ValueError(f"{entry.id}: Gram diagonality flag mismatch")
     if entry.baseline_adds < 0 or entry.baseline_shifts < 0:
@@ -198,5 +192,6 @@ def orthogonalize(t) -> tuple[np.ndarray, np.ndarray]:
     gram_diag = np.sum(mat * mat, axis=1)
     if np.any(gram_diag <= 0.0):
         raise ValueError("singular Gram matrix (zero row)")
-    sigma = np.diag(1.0 / np.sqrt(gram_diag))
-    return sigma, sigma @ mat
+    inv_norm = 1.0 / np.sqrt(gram_diag)
+    # scaling the rows equals the diagonal product sigma @ mat entry for entry
+    return np.diag(inv_norm), mat * inv_norm[:, None]

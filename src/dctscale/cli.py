@@ -54,6 +54,19 @@ _STRUCTURAL_KINDS = {
 }
 
 
+def _design_size(text: str) -> int:
+    """A ``--size`` for scale/metrics/apply: a power of two from 16 to 1024."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if not 16 <= n <= 1024 or n & (n - 1):
+        raise argparse.ArgumentTypeError(
+            f"invalid size {text!r}: choose a power of two from 16 to 1024"
+        )
+    return n
+
+
 def _matrix_csv(mat: np.ndarray) -> list[str]:
     return [",".join(f"{v:.12g}" for v in row) for row in np.atleast_2d(mat)]
 
@@ -222,7 +235,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("scale", help="double a seed transform and report its error")
     p.add_argument("--approx", required=True, help="catalog id or 'exact'")
     p.add_argument("--method", required=True, help="|".join(METHOD_IDS))
-    p.add_argument("--size", required=True, type=int, choices=(16, 32, 64))
+    p.add_argument("--size", required=True, type=_design_size)
     p.add_argument(
         "--orthogonalize",
         action="store_true",
@@ -233,14 +246,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("metrics", help="print one figure-of-merit row")
     p.add_argument("--approx", required=True)
     p.add_argument("--method", required=True)
-    p.add_argument("--size", required=True, type=int, choices=(16, 32, 64))
+    p.add_argument("--size", required=True, type=_design_size)
     p.add_argument("--rho", type=float, default=0.95)
     p.set_defaults(handler=_cmd_metrics)
 
     p = sub.add_parser("apply", help="transform vectors from a file")
     p.add_argument("--approx", required=True)
     p.add_argument("--method", required=True)
-    p.add_argument("--size", required=True, type=int, choices=(16, 32, 64))
+    p.add_argument("--size", required=True, type=_design_size)
     p.add_argument("--input", required=True, help="one whitespace-separated vector per line")
     p.add_argument(
         "--int",

@@ -58,19 +58,29 @@ def count_dense_dyadic(m: DyadicMatrix) -> Cost:
 
     adds = sum over rows of max(nonzeros - 1, 0); one shift per entry whose
     magnitude is neither 0 nor 1 (multiplying by +-2 or +-1/2 is a shift,
-    0 and +-1 are free).
+    0 and +-1 are free).  Counted with numpy on the numerator array: the
+    adds are the nonzeros less the nonempty rows, the shifts the nonzeros
+    less the unit entries.
     """
-    adds = 0
-    shifts = 0
-    for row in m.entries():
-        nonzero = [e for e in row if e]
-        adds += max(len(nonzero) - 1, 0)
-        shifts += sum(1 for e in nonzero if not e.is_unit_magnitude())
-    return adds, shifts
+    num = m.numerators()
+    nonzeros = np.count_nonzero(num)
+    adds = nonzeros - np.count_nonzero(num.any(axis=1))
+    # a unit entry has numerator +-2**shift; numerators stay below that
+    # from NUMERATOR_BITS on, so there no entry is a unit
+    units = 0
+    if m.shift < NUMERATOR_BITS:
+        unit = 1 << m.shift
+        units = np.count_nonzero(num == unit) + np.count_nonzero(num == -unit)
+    return int(adds), int(nonzeros - units)
 
 
 def _add_costs(a: Cost, b: Cost) -> Cost:
     return (a[0] + b[0], a[1] + b[1])
+
+
+def _identical(blocks: tuple["FactoredTransform", ...]) -> bool:
+    """True when every diagonal block equals the first (as in a doubling)."""
+    return all(b == blocks[0] for b in blocks[1:])
 
 
 @dataclass(frozen=True)
@@ -125,7 +135,16 @@ class Factor:
         if self.kind is FactorKind.BUTTERFLY:
             return (self.size, 0)
         if self.kind is FactorKind.BLOCK_DIAG:
-            return reduce(_add_costs, (b.cost() for b in self.payload), (0, 0))
+            blocks = self.payload
+            if _identical(blocks):
+                adds, shifts = blocks[0].cost()
+                return (len(blocks) * adds, len(blocks) * shifts)
+            return reduce(_add_costs, (b.cost() for b in blocks), (0, 0))
+        return self._counted_cost
+
+    @cached_property
+    def _counted_cost(self) -> Cost:
+        """Naive count of a sparse or diagonal payload, made once: it is immutable."""
         return count_dense_dyadic(self.payload)
 
     # -- dense views -------------------------------------------------------
@@ -140,10 +159,12 @@ class Factor:
             bottom = np.hstack([np.fliplr(eye), -eye])
             return DyadicMatrix(np.vstack([top, bottom]))
         if self.kind is FactorKind.BLOCK_DIAG:
-            out = self.payload[0].dyadic()
-            for block in self.payload[1:]:
-                out = DyadicMatrix.block_diag(out, block.dyadic())
-            return out
+            blocks = self.payload
+            if _identical(blocks):
+                mats = [blocks[0].dyadic()] * len(blocks)
+            else:
+                mats = [b.dyadic() for b in blocks]
+            return reduce(DyadicMatrix.block_diag, mats)
         return self.payload
 
     def dense(self) -> np.ndarray:
@@ -376,7 +397,7 @@ def _compile(f: Factor) -> list:
         blocks = f.payload
         if len(blocks) == 1:
             return list(blocks[0].plan.stages)
-        if all(b == blocks[0] for b in blocks[1:]):
+        if _identical(blocks):
             return _blocks(len(blocks), blocks[0].plan)
         return [_Slices(tuple(b.plan for b in blocks))]
     if is_generalized_permutation(f.payload):

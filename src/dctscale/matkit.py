@@ -306,11 +306,7 @@ class DyadicMatrix:
 
     def max_entry_shift(self) -> int:
         """Largest canonical per-entry shift (0 for an integer matrix)."""
-        best = 0
-        for i in range(self.rows):
-            for j in range(self.cols):
-                best = max(best, self.entry(i, j).shift)
-        return best
+        return int(canonical(self._num, self._shift)[1].max(initial=0))
 
     # -- arithmetic ----------------------------------------------------
 

@@ -17,10 +17,22 @@ Method registry (B-hat, G-hat per half-size N):
 
 with J the alternating-sign diagonal, Ibar the counter identity and Z the
 identity with leading entry 1/2.
+
+For dyadic seeds and methods the doubled matrix is built by index
+arithmetic on one int64 numerator array over a common shift, in O(N^2):
+with the butterfly multiplied out, the stacked halves are ``[T, T Ibar]``
+and ``[B-hat T G-hat Ibar, -B-hat T G-hat]``, where B-hat is a signed row
+gather, G-hat a column sign and Ibar a column reversal; the perfect
+shuffle then scatters the rows.  The five-factor product
+``P · bd(I, B-hat) · bd(T, T) · bd(I, G-hat) · Bf`` is kept as the
+factored transform and is the reference the construction is tested
+against.  ``scale_to`` carries each level's dyadic matrix into the next
+and orthogonalizes the final level only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -28,14 +40,11 @@ import scipy.linalg
 from .catalog import orthogonalize
 from .exact import (
     butterfly,
-    counter_identity,
     counter_mixing,
-    half_leading_diagonal,
     perfect_shuffle,
-    sign_diagonal,
     signed_cosine_diagonal,
 )
-from .fastpath import Factor, FactoredTransform, count_dense_dyadic
+from .fastpath import Factor, FactoredTransform
 from .matkit import (
     DyadicMatrix,
     Permutation,
@@ -58,6 +67,50 @@ def normalize_method(method: str) -> str:
     )
 
 
+# B-hat of each dyadic method, and whether its G-hat is J (else I)
+_DYADIC_BLOCKS: dict[str, tuple[str, bool]] = {
+    "JAM": ("I", False),
+    "I": ("Ibar", False),
+    "II": ("-Ibar J", False),
+    "III": ("-Ibar Z J", False),
+    "IV": ("I", True),
+    "V": ("Ibar", True),
+    "VI": ("-Ibar J", True),
+    "VII": ("-Ibar Z J", True),
+}
+
+
+def _mixing(mid: str, half: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """(index, mult, shift, signs) of a dyadic method at half-size ``half``.
+
+    Row i of B-hat holds its single entry ``mult[i] / 2**shift`` at column
+    ``index[i]``; G-hat is ``diag(signs)``.
+    """
+    b_hat, g_is_j = _DYADIC_BLOCKS[mid]
+    rows = np.arange(half)
+    alternating = 1 - 2 * (rows % 2)  # the diagonal of J
+    signs = alternating if g_is_j else np.ones(half, dtype=np.int64)
+    if b_hat == "I":
+        return rows, np.ones(half, dtype=np.int64), 0, signs
+    index = rows[::-1]
+    if b_hat == "Ibar":
+        return index, np.ones(half, dtype=np.int64), 0, signs
+    mult = -alternating[index]
+    if b_hat == "-Ibar J":
+        return index, mult, 0, signs
+    # Z halves column 0, which the last row of Ibar gathers
+    mult *= 2
+    mult[-1] //= 2
+    return index, mult, 1, signs
+
+
+def _gather_matrix(index: np.ndarray, mult: np.ndarray, shift: int = 0) -> DyadicMatrix:
+    """Generalized permutation with ``mult[i] / 2**shift`` at (i, index[i])."""
+    num = np.zeros((index.size, index.size), dtype=np.int64)
+    num[np.arange(index.size), index] = mult
+    return DyadicMatrix(num, shift)
+
+
 def method_blocks(method: str, half: int):
     """Parameter pair (B-hat, G-hat) at half-size ``half``.
 
@@ -67,21 +120,8 @@ def method_blocks(method: str, half: int):
     mid = normalize_method(method)
     if mid == "exact":
         return counter_mixing(half), signed_cosine_diagonal(half)
-    ident = DyadicMatrix.identity(half)
-    ibar = counter_identity(half)
-    j = sign_diagonal(half)
-    z = half_leading_diagonal(half)
-    table = {
-        "JAM": (ident, ident),
-        "I": (ibar, ident),
-        "II": (-(ibar @ j), ident),
-        "III": (-(ibar @ z @ j), ident),
-        "IV": (ident, j),
-        "V": (ibar, j),
-        "VI": (-(ibar @ j), j),
-        "VII": (-(ibar @ z @ j), j),
-    }
-    return table[mid]
+    index, mult, shift, signs = _mixing(mid, half)
+    return _gather_matrix(index, mult, shift), _gather_matrix(np.arange(half), signs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,24 +157,108 @@ class OrthogonalityCheck:
     orthogonal: bool
 
 
-def _coerce_seed(t, base_cost):
-    """Return (leaf FactoredTransform | None, DyadicMatrix | None, real array)."""
+class _Level(NamedTuple):
+    """A raw (not yet orthogonalized) transform at one size."""
+
+    factored: FactoredTransform | None  # None off the dyadic path
+    dyadic: DyadicMatrix | None
+    dense: np.ndarray
+
+
+def _coerce_seed(t, base_cost) -> _Level:
     if isinstance(t, FactoredTransform):
         dyadic = t.dyadic()
-        return t, dyadic, dyadic.to_real()
+        return _Level(t, dyadic, dyadic.to_real())
     if isinstance(t, Permutation):
         t = t.to_dyadic()
     if isinstance(t, DyadicMatrix):
         if t.rows != t.cols:
             raise ValueError("seed transform must be square")
+        if t.rows < 1:
+            raise ValueError("seed transform must be at least 1x1")
         leaf = FactoredTransform(
             t.rows, (Factor.sparse(t),), declared_base=base_cost
         )
-        return leaf, t, t.to_real()
+        return _Level(leaf, t, t.to_real())
     arr = np.asarray(t, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("seed transform must be a square matrix")
-    return None, None, arr
+    if arr.shape[0] < 1:
+        raise ValueError("seed transform must be at least 1x1")
+    return _Level(None, None, arr)
+
+
+def _double_dyadic(leaf: FactoredTransform, t: DyadicMatrix, mid: str):
+    """One dyadic doubling: (index-built DyadicMatrix, its FactoredTransform)."""
+    n = t.rows
+    shuffle = perfect_shuffle(n)
+    index, mult, b_shift, signs = _mixing(mid, n)
+
+    num = t.numerators()
+    low = mult[:, None] * (num * signs)[index]  # B-hat T G-hat
+    halves = np.vstack(
+        [np.hstack([num, num[:, ::-1]]) << b_shift, np.hstack([low[:, ::-1], -low])]
+    )
+    doubled = np.empty_like(halves)
+    doubled[shuffle.map] = halves
+    dyadic = DyadicMatrix(doubled, t.shift + b_shift)
+
+    rows = np.arange(n)
+    left = _gather_matrix(
+        np.concatenate([rows, n + index]),
+        np.concatenate([np.full(n, 1 << b_shift), mult]),
+        b_shift,
+    )
+    right = _gather_matrix(np.arange(2 * n), np.concatenate([np.ones(n, dtype=np.int64), signs]))
+    # the half-magnitude entry of methods III/VII (b_shift 1) is absorbed
+    # by the final rescaling, so their mixing stage is declared shift-free
+    left_declared = (0, 0) if b_shift else None
+    factored = FactoredTransform(
+        2 * n,
+        (
+            Factor.permutation(shuffle),
+            Factor.sparse(left, declared_cost=left_declared),
+            Factor.block_diag((leaf, leaf)),
+            Factor.diagonal(right),
+            Factor.butterfly(2 * n),
+        ),
+    )
+    return dyadic, factored
+
+
+def _double_real(t: np.ndarray, mid: str) -> np.ndarray:
+    """One float doubling: the dense product of the five factors."""
+    n = t.shape[0]
+    b_hat, g_hat = method_blocks(mid, n)
+    bd = scipy.linalg.block_diag
+    eye = np.eye(n)
+    return (
+        perfect_shuffle(n).to_real()
+        @ bd(eye, as_real(b_hat))
+        @ bd(t, t)
+        @ bd(eye, as_real(g_hat))
+        @ butterfly(n).to_real()
+    )
+
+
+def _double(seed: _Level, mid: str) -> _Level:
+    """One raw doubling; dyadic while the seed and the method are."""
+    if seed.dyadic is not None and mid != "exact":
+        dyadic, factored = _double_dyadic(seed.factored, seed.dyadic, mid)
+        return _Level(factored, dyadic, dyadic.to_real())
+    return _Level(None, None, _double_real(seed.dense, mid))
+
+
+def _finish(mid: str, level: _Level) -> ScaledTransform:
+    sigma, c_hat = orthogonalize(level.dense)
+    return ScaledTransform(
+        method=mid,
+        dense=level.dense,
+        sigma=sigma,
+        c_hat=c_hat,
+        dyadic=level.dyadic,
+        factored=level.factored,
+    )
 
 
 def scale(t, method: str, *, base_cost: tuple[int, int] | None = None) -> ScaledTransform:
@@ -145,61 +269,7 @@ def scale(t, method: str, *, base_cost: tuple[int, int] | None = None) -> Scaled
     naive dense count.  Ignored when ``t`` is already a FactoredTransform.
     """
     mid = normalize_method(method)
-    leaf, t_dyadic, t_real = _coerce_seed(t, base_cost)
-    n = t_real.shape[0]
-    if n < 1:
-        raise ValueError("seed transform must be at least 1x1")
-    shuffle = perfect_shuffle(n)
-    bf = butterfly(n)
-    b_hat, g_hat = method_blocks(mid, n)
-
-    dyadic = None
-    factored = None
-    if t_dyadic is not None and mid != "exact":
-        ident = DyadicMatrix.identity(n)
-        left = DyadicMatrix.block_diag(ident, b_hat)
-        right = DyadicMatrix.block_diag(ident, g_hat)
-        dyadic = (
-            shuffle.to_dyadic()
-            @ left
-            @ DyadicMatrix.block_diag(t_dyadic, t_dyadic)
-            @ right
-            @ bf
-        )
-        dense = dyadic.to_real()
-        # the half-magnitude entry of methods III/VII is absorbed by the
-        # final rescaling, so the mixing stage is declared shift-free
-        left_declared = (0, 0) if count_dense_dyadic(left) != (0, 0) else None
-        factored = FactoredTransform(
-            2 * n,
-            (
-                Factor.permutation(shuffle),
-                Factor.sparse(left, declared_cost=left_declared),
-                Factor.block_diag((leaf, leaf)),
-                Factor.diagonal(right),
-                Factor.butterfly(2 * n),
-            ),
-        )
-    else:
-        bd = scipy.linalg.block_diag
-        eye = np.eye(n)
-        dense = (
-            shuffle.to_real()
-            @ bd(eye, as_real(b_hat))
-            @ bd(t_real, t_real)
-            @ bd(eye, as_real(g_hat))
-            @ bf.to_real()
-        )
-
-    sigma, c_hat = orthogonalize(dense)
-    return ScaledTransform(
-        method=mid,
-        dense=dense,
-        sigma=sigma,
-        c_hat=c_hat,
-        dyadic=dyadic,
-        factored=factored,
-    )
+    return _finish(mid, _double(_coerce_seed(t, base_cost), mid))
 
 
 def scale_to(
@@ -214,10 +284,11 @@ def scale_to(
     ``method`` is a single method id (same method at every level) or a
     sequence of ids, one per doubling.  Row-norm orthogonalization applies
     once, to the final size only; intermediate transforms stay raw (and
-    dyadic, for dyadic seeds and methods).
+    dyadic, for dyadic seeds and methods), and each level's dyadic matrix
+    seeds the next without being rebuilt from its factors.
     """
-    leaf, t_dyadic, t_real = _coerce_seed(t, base_cost)
-    n = t_real.shape[0]
+    level = _coerce_seed(t, base_cost)
+    n = level.dense.shape[0]
     if target < 2 * n:
         raise ValueError(f"target size {target} must be at least twice the seed size {n}")
     levels = 0
@@ -237,12 +308,9 @@ def scale_to(
                 f"{levels} doublings needed to reach {target}, got {len(chain)} methods"
             )
 
-    current = leaf if leaf is not None else t_real
-    result = None
     for mid in chain:
-        result = scale(current, mid)
-        current = result.factored if result.factored is not None else result.dense
-    return result
+        level = _double(level, mid)
+    return _finish(chain[-1], level)
 
 
 def check_orthogonality(t, method: str) -> OrthogonalityCheck:

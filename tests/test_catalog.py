@@ -21,7 +21,7 @@ from dctscale.catalog import (
     parse_matrix_text,
 )
 from dctscale.exact import TransformKind, transform_matrix
-from dctscale.matkit import DyadicRational, frobenius_distance, is_diagonal
+from dctscale.matkit import DyadicMatrix, DyadicRational, frobenius_distance, is_diagonal
 
 # seed Frobenius errors ||orthogonalized member - C_8||_F, frozen to 4 decimals
 SEED_ERRORS = {
@@ -107,6 +107,33 @@ def test_checksum_mismatch_detected(monkeypatch):
     monkeypatch.setattr(catalog, "_manifest", lambda: {})
     with pytest.raises(ValueError, match="missing from checksum manifest"):
         load("lodct")
+
+
+def test_validate_rejects_entries_outside_the_low_complexity_set():
+    rdct = load("rdct")
+
+    def entry_with(value: str) -> ApproximationEntry:
+        rows = [[str(e) for e in row] for row in rdct.matrix.entries()]
+        rows[2][5] = value
+        matrix = DyadicMatrix.from_entries(rows)
+        return ApproximationEntry("rdct", matrix, 22, 0, rdct.source)
+
+    for bad in ("3", "-4", "1/4", "-3/2", "5/8"):
+        with pytest.raises(ValueError, match=f"rdct: entry {bad} outside the low-complexity set"):
+            catalog._validate(entry_with(bad))
+    # every allowed value passes the set check (a changed entry may still
+    # break the Gram flag, which is checked after it)
+    for ok in ("0", "1", "-1", "2", "-2", "1/2", "-1/2"):
+        try:
+            catalog._validate(entry_with(ok))
+        except ValueError as exc:
+            assert "Gram diagonality" in str(exc)
+
+
+def test_validate_checks_the_gram_flag():
+    sdct = load("sdct")
+    with pytest.raises(ValueError, match="Gram diagonality flag mismatch"):
+        catalog._validate(ApproximationEntry("rdct", sdct.matrix, 22, 0, sdct.source))
 
 
 def test_generated_members_skip_data_files(monkeypatch):

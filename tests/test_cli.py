@@ -138,6 +138,40 @@ def test_scale_rejects_bad_size(capsys):
     assert err.startswith("error: ")
 
 
+def test_design_verbs_accept_power_of_two_sizes_to_1024(capsys, tmp_path):
+    code, out, err = _run(
+        capsys, ["metrics", "--approx", "rdct", "--method", "VI", "--size", "128"]
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("approx=rdct method=VI size=128 ")
+    code, out, _ = _run(
+        capsys, ["scale", "--approx", "rdct", "--method", "VII", "--size", "128"]
+    )
+    assert code == 0 and len(out.splitlines()) == 129
+    vectors = tmp_path / "v.txt"
+    vectors.write_text(" ".join(["1"] * 128) + "\n")
+    code, out, _ = _run(
+        capsys,
+        ["apply", "--approx", "rdct", "--method", "JAM", "--size", "128",
+         "--input", str(vectors), "--int"],
+    )
+    assert code == 0 and len(out.split()) == 128
+
+
+@pytest.mark.parametrize("verb", ("scale", "metrics", "apply"))
+@pytest.mark.parametrize("size", ("48", "2048", "8", "x"))
+def test_design_verbs_reject_other_sizes(capsys, tmp_path, verb, size):
+    argv = [verb, "--approx", "rdct", "--method", "VI", "--size", size]
+    if verb == "apply":
+        argv += ["--input", str(tmp_path / "unused.txt")]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: argument --size: invalid size '{size}': "
+        "choose a power of two from 16 to 1024\n"
+    )
+
+
 def test_scale_unknown_method(capsys):
     code, _, err = _run(
         capsys, ["scale", "--approx", "rdct", "--method", "IX", "--size", "16"]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dctscale import catalog
+from dctscale import catalog, fastpath
 from dctscale.exact import (
     butterfly,
     counter_identity,
@@ -57,6 +57,44 @@ def test_count_dense_dyadic():
     assert count_dense_dyadic(butterfly(4)) == (8, 0)
     assert count_dense_dyadic(DyadicMatrix.zeros(3)) == (0, 0)
     assert count_dense_dyadic(RDCT.matrix) == (40, 0)
+
+
+def _count_per_entry(m: DyadicMatrix) -> tuple[int, int]:
+    """The cost rule applied entry by entry, as DyadicRational objects."""
+    adds = shifts = 0
+    for row in m.entries():
+        nonzero = [e for e in row if e]
+        adds += max(len(nonzero) - 1, 0)
+        shifts += sum(1 for e in nonzero if not e.is_unit_magnitude())
+    return adds, shifts
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    rows=st.integers(1, 128),
+    cols=st.integers(1, 128),
+    shift=st.sampled_from((0, 1, 2, 5, 61, 62, 70)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_count_dense_dyadic_matches_per_entry_rule(rows, cols, shift, seed):
+    # zeros, units, +-2, +-1/2 and other values, over shifts up to past
+    # 62 bits, where no numerator can be a unit any more
+    rng = np.random.default_rng(seed)
+    unit = 1 << min(shift, 61)
+    values = np.array([0, 0, unit, -unit, 3, -7], dtype=np.int64)
+    if shift:
+        values = np.append(values, [unit // 2, -(unit // 2)])
+    if shift < 61:
+        values = np.append(values, [2 * unit, -2 * unit])
+    m = DyadicMatrix(rng.choice(values, size=(rows, cols)), shift)
+    assert count_dense_dyadic(m) == _count_per_entry(m)
+
+
+@pytest.mark.parametrize("size", (128, 256))
+def test_count_dense_dyadic_on_scaled_matrices(size):
+    for approx_id, method in (("abdct", "VII"), ("bas2", "III"), ("sdct", "JAM")):
+        m = scale_to(catalog.load(approx_id).matrix, size, method).dyadic
+        assert count_dense_dyadic(m) == _count_per_entry(m)
 
 
 # ── factor constructors and validation ─────────────────────────────────────
@@ -122,6 +160,22 @@ def test_factor_apply_permutation_matches_matrix():
 def test_factored_transform_size_check():
     with pytest.raises(ValueError, match="factor of size 2"):
         FactoredTransform(4, (Factor.butterfly(2),))
+
+
+def test_identical_blocks_are_costed_once(monkeypatch):
+    # seven doublings by VII: each level counts its one undeclared stage,
+    # the sign diagonal, once, rather than once per copy of its block
+    ft = scale_to(catalog.load("bas2").matrix, 1024, "VII", base_cost=(18, 2)).factored
+    counted = []
+    real_count = fastpath.count_dense_dyadic
+
+    def counting(m):
+        counted.append(m.rows)
+        return real_count(m)
+
+    monkeypatch.setattr(fastpath, "count_dense_dyadic", counting)
+    assert ft.cost() == (128 * 18 + 7 * 1024, 128 * 2)
+    assert sorted(counted) == [16 << k for k in range(7)]
 
 
 def test_declared_base_overrides_naive_cost():

@@ -228,6 +228,17 @@ def test_matrix_equality_and_max_entry_shift():
     assert DyadicMatrix.identity(4).max_entry_shift() == 0
 
 
+def test_max_entry_shift_matches_per_entry_shifts():
+    rng = np.random.default_rng(7)
+    for shift in (0, 1, 4, 62, 70):
+        num = rng.integers(-40, 41, size=(9, 13)) * (1 << int(rng.integers(0, 4)))
+        num[0, 0] = 1 if shift else 0  # keep the shift from normalizing away
+        m = DyadicMatrix(num, shift)
+        want = max(e.shift for row in m.entries() for e in row)
+        assert m.max_entry_shift() == want
+    assert DyadicMatrix.zeros(3).max_entry_shift() == 0
+
+
 # ── Permutation ────────────────────────────────────────────────────────────
 
 

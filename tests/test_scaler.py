@@ -2,20 +2,28 @@
 
 Covers the published per-method error values for exact seeds, frozen
 recursion oracles, the II==III / VI==VII collapse after row rescaling, the
-Gram block structure, and the dyadic shift bound.
+Gram block structure, and the dyadic shift bound.  The index-built
+doubling is checked against the literal product of its five factors, and
+the cost recurrence, orthogonality and method-pair collapse are checked
+on random members and per-level chains up to N = 1024.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dctscale import catalog
 from dctscale.exact import (
     TransformKind,
     butterfly,
+    counter_identity,
     counter_mixing,
+    half_leading_diagonal,
     perfect_shuffle,
+    sign_diagonal,
     signed_cosine_diagonal,
     transform_matrix,
 )
@@ -228,6 +236,10 @@ def test_scale_to_validation():
         scale_to(C8, 24, "JAM")
     with pytest.raises(ValueError, match="doublings"):
         scale_to(C8, 32, ("JAM",))
+    # an empty seed is refused before the size loop, which could not end
+    for empty in (np.ones((0, 0)), DyadicMatrix(np.zeros((0, 0), dtype=np.int64))):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            scale_to(empty, 16, "JAM")
 
 
 def test_scale_to_keeps_dyadic_chain():
@@ -303,3 +315,163 @@ def test_orthogonality_flag_is_sufficient(method):
         assert chk.orthogonal
         st = scale(t, method)
         assert np.max(np.abs(st.c_hat @ st.c_hat.T - np.eye(16))) < 1e-10
+
+
+# ── index-built doubling against the five-factor product, N = 16...1024 ─────
+
+
+def _reference_blocks(method: str, n: int) -> tuple[DyadicMatrix, DyadicMatrix]:
+    """(B-hat, G-hat) as products of the exact structural factors."""
+    ident = DyadicMatrix.identity(n)
+    ibar = counter_identity(n)
+    j = sign_diagonal(n)
+    z = half_leading_diagonal(n)
+    b_hat = {
+        "JAM": ident, "IV": ident,
+        "I": ibar, "V": ibar,
+        "II": -(ibar @ j), "VI": -(ibar @ j),
+        "III": -(ibar @ z @ j), "VII": -(ibar @ z @ j),
+    }[method]
+    return b_hat, (j if method in ("IV", "V", "VI", "VII") else ident)
+
+
+def _five_factor_product(t: DyadicMatrix, method: str) -> DyadicMatrix:
+    """P · bd(I, B-hat) · bd(t, t) · bd(I, G-hat) · Bf, one literal product."""
+    n = t.rows
+    b_hat, g_hat = _reference_blocks(method, n)
+    ident = DyadicMatrix.identity(n)
+    return (
+        perfect_shuffle(n).to_dyadic()
+        @ DyadicMatrix.block_diag(ident, b_hat)
+        @ DyadicMatrix.block_diag(t, t)
+        @ DyadicMatrix.block_diag(ident, g_hat)
+        @ butterfly(n)
+    )
+
+
+def _five_factor_product_real(t: DyadicMatrix, method: str) -> np.ndarray:
+    """The same product in float64.  Every entry of the result is a single
+    signed, possibly halved, entry of t, so the float product is exact."""
+    n = t.rows
+    b_hat, g_hat = (m.to_real() for m in _reference_blocks(method, n))
+    tr, eye, bd = t.to_real(), np.eye(n), scipy.linalg.block_diag
+    return (
+        perfect_shuffle(n).to_real()
+        @ bd(eye, b_hat)
+        @ bd(tr, tr)
+        @ bd(eye, g_hat)
+        @ butterfly(n).to_real()
+    )
+
+
+def _same_representation(a: DyadicMatrix, b: DyadicMatrix) -> bool:
+    return a.shift == b.shift and np.array_equal(a.numerators(), b.numerators())
+
+
+@pytest.mark.parametrize("method", DYADIC_METHOD_IDS)
+def test_method_blocks_match_structural_products(method):
+    for half in (1, 2, 7, 64):
+        for got, want in zip(method_blocks(method, half), _reference_blocks(method, half)):
+            assert _same_representation(got, want)
+
+
+_LARGE = settings(max_examples=6, deadline=None, database=None, derandomize=True)
+# every level up to 256 points is checked against the literal dyadic
+# product; beyond that its int64 matmuls take seconds, so the float64
+# product of the same factors, exact here, is the reference
+_LITERAL_MAX = 256
+
+
+@_LARGE
+@given(
+    approx_id=st.sampled_from(catalog.APPROXIMATION_IDS),
+    chain=st.integers(4, 7).flatmap(
+        lambda levels: st.lists(
+            st.sampled_from(DYADIC_METHOD_IDS), min_size=levels, max_size=levels
+        )
+    ),
+)
+def test_index_built_doubling_matches_five_factor_product(approx_id, chain):
+    t = catalog.load(approx_id).matrix
+    for method in chain:
+        doubled = scale(t, method).dyadic
+        if doubled.rows <= _LITERAL_MAX:
+            assert _same_representation(doubled, _five_factor_product(t, method))
+        else:
+            assert np.array_equal(doubled.to_real(), _five_factor_product_real(t, method))
+        t = doubled
+    # scale_to carries each level's matrix instead of rebuilding it
+    assert _same_representation(scale_to(catalog.load(approx_id).matrix, t.rows, chain).dyadic, t)
+
+
+def test_scale_of_factored_seed_matches_scale_to():
+    t = catalog.load("abdct").matrix
+    level1 = scale(t, "III", base_cost=(24, 6))
+    via_factors = scale(level1.factored, "VI")
+    carried = scale_to(t, 32, ("III", "VI"), base_cost=(24, 6))
+    assert _same_representation(via_factors.dyadic, carried.dyadic)
+    assert via_factors.factored == carried.factored
+    assert np.array_equal(via_factors.c_hat, carried.c_hat)
+
+
+@_LARGE
+@given(
+    approx_id=st.sampled_from(catalog.APPROXIMATION_IDS),
+    chain=st.lists(st.sampled_from(DYADIC_METHOD_IDS), min_size=7, max_size=7),
+)
+def test_cost_recurrence_to_1024(approx_id, chain):
+    # cost(2N) = 2 cost(N) + 2N adds + the cost of the two mixing stages,
+    # which the final rescaling makes free for every dyadic method
+    entry = catalog.load(approx_id)
+    base = (entry.baseline_adds, entry.baseline_shifts)
+    adds, shifts = base
+    for level in range(1, len(chain) + 1):
+        size = 8 << level
+        factored = scale_to(entry.matrix, size, chain[:level], base_cost=base).factored
+        left, right = factored.factors[1], factored.factors[3]
+        mixing = tuple(a + b for a, b in zip(left.cost(), right.cost()))
+        assert mixing == (0, 0)
+        adds, shifts = 2 * adds + size + mixing[0], 2 * shifts + mixing[1]
+        assert factored.cost() == (adds, shifts)
+    assert (adds, shifts) == (128 * base[0] + 7 * 1024, 128 * base[1])
+
+
+@pytest.mark.parametrize("size", (128, 1024))
+def test_c_hat_orthogonal_for_diagonal_gram_seeds(size):
+    rng = np.random.default_rng(size)
+    levels = int(np.log2(size // 8))
+    members = sorted(catalog.DIAGONAL_GRAM_IDS)
+    for approx_id in members if size == 128 else members[::3]:
+        chain = tuple(rng.choice(DYADIC_METHOD_IDS, size=levels).tolist())
+        c_hat = scale_to(catalog.load(approx_id).matrix, size, chain).c_hat
+        assert np.max(np.abs(c_hat @ c_hat.T - np.eye(size))) <= 1e-10, (approx_id, chain)
+
+
+@pytest.mark.parametrize("size", (128, 512, 1024))
+def test_pair_collapse_at_large_sizes(size):
+    # II and III (and VI and VII) differ by a power-of-two row scaling at
+    # every level, which the final rescaling removes; mixed chains included
+    rng = np.random.default_rng(size + 1)
+    levels = int(np.log2(size // 8))
+    swap = {"III": "II", "VII": "VI"}
+    for approx_id in ("rdct", "sdct", "bas2"):
+        chain = tuple(rng.choice(DYADIC_METHOD_IDS, size=levels).tolist())
+        if not set(chain) & set(swap):
+            chain = ("VII",) + chain[1:]
+        t = catalog.load(approx_id).matrix
+        a = scale_to(t, size, chain).c_hat
+        b = scale_to(t, size, tuple(swap.get(m, m) for m in chain)).c_hat
+        assert np.max(np.abs(a - b)) <= 1e-12, (approx_id, chain)
+    for pair in (("II", "III"), ("VI", "VII")):
+        a, b = (scale_to(catalog.load("lodct").matrix, size, m).c_hat for m in pair)
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_orthogonalize_scales_rows_like_the_diagonal_product():
+    # c_hat is computed as a row scaling; it must equal sigma @ dense exactly
+    for approx_id in catalog.APPROXIMATION_IDS:
+        t = catalog.load(approx_id).matrix
+        for method in DYADIC_METHOD_IDS:
+            for size in (16, 128):
+                scaled = scale_to(t, size, method)
+                assert np.array_equal(scaled.c_hat, scaled.sigma @ scaled.dense)
