@@ -62,15 +62,14 @@ def count_dense_dyadic(m: DyadicMatrix) -> Cost:
     adds are the nonzeros less the nonempty rows, the shifts the nonzeros
     less the unit entries.
     """
-    num = m.numerators()
-    nonzeros = np.count_nonzero(num)
-    adds = nonzeros - np.count_nonzero(num.any(axis=1))
+    mag = np.abs(m.numerators())
+    nonzeros = np.count_nonzero(mag)
+    adds = nonzeros - np.count_nonzero(mag.any(axis=1))
     # a unit entry has numerator +-2**shift; numerators stay below that
     # from NUMERATOR_BITS on, so there no entry is a unit
     units = 0
     if m.shift < NUMERATOR_BITS:
-        unit = 1 << m.shift
-        units = np.count_nonzero(num == unit) + np.count_nonzero(num == -unit)
+        units = np.count_nonzero(mag == 1 << m.shift)
     return int(adds), int(nonzeros - units)
 
 
@@ -140,11 +139,6 @@ class Factor:
                 adds, shifts = blocks[0].cost()
                 return (len(blocks) * adds, len(blocks) * shifts)
             return reduce(_add_costs, (b.cost() for b in blocks), (0, 0))
-        return self._counted_cost
-
-    @cached_property
-    def _counted_cost(self) -> Cost:
-        """Naive count of a sparse or diagonal payload, made once: it is immutable."""
         return count_dense_dyadic(self.payload)
 
     # -- dense views -------------------------------------------------------

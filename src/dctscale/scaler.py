@@ -67,38 +67,28 @@ def normalize_method(method: str) -> str:
     )
 
 
-# B-hat of each dyadic method, and whether its G-hat is J (else I)
-_DYADIC_BLOCKS: dict[str, tuple[str, bool]] = {
-    "JAM": ("I", False),
-    "I": ("Ibar", False),
-    "II": ("-Ibar J", False),
-    "III": ("-Ibar Z J", False),
-    "IV": ("I", True),
-    "V": ("Ibar", True),
-    "VI": ("-Ibar J", True),
-    "VII": ("-Ibar Z J", True),
-}
-
-
 def _mixing(mid: str, half: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """(index, mult, shift, signs) of a dyadic method at half-size ``half``.
 
     Row i of B-hat holds its single entry ``mult[i] / 2**shift`` at column
-    ``index[i]``; G-hat is ``diag(signs)``.
+    ``index[i]``; G-hat is ``diag(signs)``.  Along DYADIC_METHOD_IDS, B-hat
+    runs through I, Ibar, -Ibar J, -Ibar Z J twice, and G-hat is I for the
+    first four methods and J for the last four, as in the module registry.
     """
-    b_hat, g_is_j = _DYADIC_BLOCKS[mid]
+    g_is_j, b_kind = divmod(DYADIC_METHOD_IDS.index(mid), 4)
     rows = np.arange(half)
+    ones = np.ones(half, dtype=np.int64)
     alternating = 1 - 2 * (rows % 2)  # the diagonal of J
-    signs = alternating if g_is_j else np.ones(half, dtype=np.int64)
-    if b_hat == "I":
-        return rows, np.ones(half, dtype=np.int64), 0, signs
+    signs = alternating if g_is_j else ones
+    if b_kind == 0:  # I
+        return rows, ones, 0, signs
     index = rows[::-1]
-    if b_hat == "Ibar":
-        return index, np.ones(half, dtype=np.int64), 0, signs
+    if b_kind == 1:  # Ibar
+        return index, ones, 0, signs
     mult = -alternating[index]
-    if b_hat == "-Ibar J":
+    if b_kind == 2:  # -Ibar J
         return index, mult, 0, signs
-    # Z halves column 0, which the last row of Ibar gathers
+    # -Ibar Z J: Z halves column 0, which the last row of Ibar gathers
     mult *= 2
     mult[-1] //= 2
     return index, mult, 1, signs
@@ -161,14 +151,20 @@ class _Level(NamedTuple):
     """A raw (not yet orthogonalized) transform at one size."""
 
     factored: FactoredTransform | None  # None off the dyadic path
-    dyadic: DyadicMatrix | None
-    dense: np.ndarray
+    dyadic: DyadicMatrix | None  # None off the dyadic path
+    dense: np.ndarray | None  # None on the dyadic path
+
+    @property
+    def size(self) -> int:
+        return self.dense.shape[0] if self.dyadic is None else self.dyadic.rows
+
+    def real(self) -> np.ndarray:
+        return self.dense if self.dyadic is None else self.dyadic.to_real()
 
 
 def _coerce_seed(t, base_cost) -> _Level:
     if isinstance(t, FactoredTransform):
-        dyadic = t.dyadic()
-        return _Level(t, dyadic, dyadic.to_real())
+        return _Level(t, t.dyadic(), None)
     if isinstance(t, Permutation):
         t = t.to_dyadic()
     if isinstance(t, DyadicMatrix):
@@ -179,7 +175,7 @@ def _coerce_seed(t, base_cost) -> _Level:
         leaf = FactoredTransform(
             t.rows, (Factor.sparse(t),), declared_base=base_cost
         )
-        return _Level(leaf, t, t.to_real())
+        return _Level(leaf, t, None)
     arr = np.asarray(t, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("seed transform must be a square matrix")
@@ -245,15 +241,16 @@ def _double(seed: _Level, mid: str) -> _Level:
     """One raw doubling; dyadic while the seed and the method are."""
     if seed.dyadic is not None and mid != "exact":
         dyadic, factored = _double_dyadic(seed.factored, seed.dyadic, mid)
-        return _Level(factored, dyadic, dyadic.to_real())
-    return _Level(None, None, _double_real(seed.dense, mid))
+        return _Level(factored, dyadic, None)
+    return _Level(None, None, _double_real(seed.real(), mid))
 
 
 def _finish(mid: str, level: _Level) -> ScaledTransform:
-    sigma, c_hat = orthogonalize(level.dense)
+    dense = level.real()
+    sigma, c_hat = orthogonalize(dense)
     return ScaledTransform(
         method=mid,
-        dense=level.dense,
+        dense=dense,
         sigma=sigma,
         c_hat=c_hat,
         dyadic=level.dyadic,
@@ -288,7 +285,7 @@ def scale_to(
     seeds the next without being rebuilt from its factors.
     """
     level = _coerce_seed(t, base_cost)
-    n = level.dense.shape[0]
+    n = level.size
     if target < 2 * n:
         raise ValueError(f"target size {target} must be at least twice the seed size {n}")
     levels = 0
@@ -320,14 +317,13 @@ def check_orthogonality(t, method: str) -> OrthogonalityCheck:
     c_hat c_hat^T = I.  They are not necessary: the 'exact' method fails
     (ii) and (iii) yet doubles orthogonal seeds into orthogonal results.
     """
-    _, t_dyadic, t_real = _coerce_seed(t, None)
-    n = t_real.shape[0]
-    b_hat, g_hat = method_blocks(method, n)
+    seed = _coerce_seed(t, None)
+    b_hat, g_hat = method_blocks(method, seed.size)
 
-    if t_dyadic is not None:
-        cond_i = is_diagonal((t_dyadic @ t_dyadic.T).to_real(), tol=0.0)
+    if seed.dyadic is not None:
+        cond_i = is_diagonal((seed.dyadic @ seed.dyadic.T).to_real(), tol=0.0)
     else:
-        cond_i = is_diagonal(t_real @ t_real.T, tol=1e-10)
+        cond_i = is_diagonal(seed.dense @ seed.dense.T, tol=1e-10)
 
     gg = as_real(g_hat) @ as_real(g_hat).T
     cond_ii = is_diagonal(gg, tol=1e-12) and bool(
