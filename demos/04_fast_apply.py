@@ -3,12 +3,10 @@
 
 The fast path compiles the factors once into a plan of stages and never
 multiplies by the doubled transform's dense matrix: the perfect shuffle
-and the sign-pattern mixing stages become gathers, each butterfly one
-add and one subtract, and the catalog blocks one batched dense 8x8
-product, the only matrix product left.  (The mixing factors themselves
-are stored as dense dyadic matrices, so that they can be costed and
-printed.)
-On integer input the plan runs in int64 numerators over one power-of-two
+and the sign-pattern mixing stages are gathers, stored as index and
+multiplier arrays, each butterfly is one add and one subtract, and the
+catalog blocks are one batched dense 8x8 product, the only matrix
+product left.  On integer input the plan runs in int64 numerators over one power-of-two
 shift and is exact.
 """
 import numpy as np

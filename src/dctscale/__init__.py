@@ -39,7 +39,6 @@ from .matkit import (
     DyadicMatrix,
     DyadicRational,
     Permutation,
-    diag_inv_sqrt,
     frobenius_distance,
     is_diagonal,
     is_generalized_permutation,
@@ -94,7 +93,6 @@ __all__ = [
     "coding_gain",
     "count_dense_dyadic",
     "deviation_from_orthogonality",
-    "diag_inv_sqrt",
     "evaluate",
     "fit",
     "frobenius_distance",

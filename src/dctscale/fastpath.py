@@ -1,26 +1,33 @@
 """Factored transforms with exact addition/bit-shift accounting.
 
-A scaled transform is a short product of structured factors (permutation,
-sparse dyadic, block-diagonal, diagonal, butterfly).  Keeping the factors
-instead of the dense product gives two things: a multiplierless application
-path that is bit-exact on integer input, and an arithmetic-cost model
-where additions and shifts are counted per factor.  Catalog 8-point blocks
-are opaque cost leaves: their cost comes from the published fast-algorithm
-counts (``declared_base``).
+A scaled transform is a short product of structured factors, one kind per
+structural idea of the doubling ``P · bd(I, B-hat) · bd(T, T) · bd(I, G-hat) · Bf``:
+
+* a *gather* ``y[i] = mult[i] / 2**shift * x[index[i]]`` holds the perfect
+  shuffle P, the mixing stage bd(I, B-hat) and the sign stage bd(I, G-hat)
+  as O(N) index and multiplier arrays;
+* a *butterfly* adds and subtracts the two halves;
+* a *block-diag* is ``count`` identical copies of one factored block;
+* a *leaf* is a dense dyadic seed block, such as a catalog 8x8 matrix.
+
+Keeping the factors instead of the dense product gives two things: a
+multiplierless application path that is bit-exact on integer input, and
+an arithmetic-cost model where additions and shifts are counted per
+factor.  Any factor may carry a ``declared_cost`` in place of its counted
+one; a catalog leaf declares its published fast-algorithm count.
 
 Application runs a :class:`Plan`, compiled from the factors on first use
 and cached; building, scaling and costing never compile one.  Each stage
-acts on axis -2 of an ``(..., N, B)`` array: permutations and the sign and
-half-magnitude mixing factors are (signed) gathers, the butterfly is two
-slices added and subtracted, identical diagonal blocks run at once on a
-reshaped view, and a catalog leaf is one dense 8x8 numerator product over
-all its blocks.  The stages work on numerators, so the plan computes
-``2**shift`` times the transform for one cumulative ``shift``.  Its
-``growth``, the product of the stages' largest row-L1 numerator norms,
-bounds every intermediate value: integer input with ``max|x| * growth``
-at or beyond 2**62 raises OverflowError before any int64 arithmetic, so
-the exact path never wraps.  Float input runs the same stages in float64
-and is scaled by ``2**-shift`` once at the end.
+acts on axis -2 of an ``(..., N, B)`` array: a gather factor is itself a
+plan stage, the butterfly is two slices added and subtracted, identical
+blocks run at once on a reshaped view, and a leaf is one dense numerator
+product over all its blocks.  The stages work on numerators, so the plan
+computes ``2**shift`` times the transform for one cumulative ``shift``.
+Its ``growth``, the product of the stages' largest row-L1 numerator
+norms, bounds every intermediate value: integer input with
+``max|x| * growth`` at or beyond 2**62 raises OverflowError before any
+int64 arithmetic, so the exact path never wraps.  Float input runs the
+same stages in float64 and is scaled by ``2**-shift`` once at the end.
 """
 from __future__ import annotations
 
@@ -32,25 +39,23 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from .exact import butterfly
 from .matkit import (
     NUMERATOR_BITS,
     DyadicMatrix,
     DyadicRational,
-    Permutation,
     aligned_numerators,
     check_growth,
-    is_generalized_permutation,
 )
 
 Cost = tuple[int, int]  # (additions, bit shifts)
 
 
 class FactorKind(Enum):
-    PERMUTATION = "permutation"
-    DIAGONAL_DYADIC = "diagonal"
-    BLOCK_DIAG = "block-diag"
+    GATHER = "gather"
     BUTTERFLY = "butterfly"
-    SPARSE_DYADIC = "sparse"
+    BLOCK_DIAG = "block-diag"
+    LEAF = "leaf"
 
 
 def count_dense_dyadic(m: DyadicMatrix) -> Cost:
@@ -77,14 +82,15 @@ def _add_costs(a: Cost, b: Cost) -> Cost:
     return (a[0] + b[0], a[1] + b[1])
 
 
-def _identical(blocks: tuple["FactoredTransform", ...]) -> bool:
-    """True when every diagonal block equals the first (as in a doubling)."""
-    return all(b == blocks[0] for b in blocks[1:])
-
-
 @dataclass(frozen=True)
 class Factor:
-    """One structured stage of a factored transform."""
+    """One structured stage of a factored transform.
+
+    ``payload`` is the stage's data: a :class:`_Gather` for a gather, the
+    repeated :class:`FactoredTransform` for a block-diag (the count is
+    ``size // payload.size``), the :class:`DyadicMatrix` for a leaf, and
+    None for a butterfly.
+    """
 
     kind: FactorKind
     size: int
@@ -94,29 +100,31 @@ class Factor:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def permutation(cls, p: Permutation) -> "Factor":
-        return cls(FactorKind.PERMUTATION, p.size, p)
+    def gather(
+        cls, index, mult=None, shift: int = 0, declared_cost: Cost | None = None
+    ) -> "Factor":
+        """``y[i] = mult[i] / 2**shift * x[index[i]]``; ``mult`` defaults to ones."""
+        g = _Gather(index, mult, shift)
+        n = g.index.size
+        if g.index.ndim != 1 or (n and not 0 <= g.index.min() <= g.index.max() < n):
+            raise ValueError("gather index must be a vector of positions below its length")
+        if mult is not None and np.shape(mult) != (n,):
+            raise ValueError("gather needs one multiplier per output")
+        if not 0 <= shift < NUMERATOR_BITS:
+            raise ValueError(f"gather shift must lie in [0, {NUMERATOR_BITS})")
+        return cls(FactorKind.GATHER, n, g, declared_cost)
 
     @classmethod
-    def sparse(cls, m: DyadicMatrix, declared_cost: Cost | None = None) -> "Factor":
+    def leaf(cls, m: DyadicMatrix, declared_cost: Cost | None = None) -> "Factor":
         if m.rows != m.cols:
-            raise ValueError("sparse factor must be square")
-        return cls(FactorKind.SPARSE_DYADIC, m.rows, m, declared_cost)
+            raise ValueError("leaf factor must be square")
+        return cls(FactorKind.LEAF, m.rows, m, declared_cost)
 
     @classmethod
-    def diagonal(cls, m: DyadicMatrix) -> "Factor":
-        if m.rows != m.cols:
-            raise ValueError("diagonal factor must be square")
-        num = m.numerators()
-        if np.any(num != np.diag(np.diag(num))):
-            raise ValueError("diagonal factor has off-diagonal entries")
-        return cls(FactorKind.DIAGONAL_DYADIC, m.rows, m)
-
-    @classmethod
-    def block_diag(cls, blocks: tuple["FactoredTransform", ...]) -> "Factor":
-        if not blocks:
+    def block_diag(cls, block: "FactoredTransform", count: int) -> "Factor":
+        if count < 1:
             raise ValueError("block-diagonal factor needs at least one block")
-        return cls(FactorKind.BLOCK_DIAG, sum(b.size for b in blocks), tuple(blocks))
+        return cls(FactorKind.BLOCK_DIAG, count * block.size, block)
 
     @classmethod
     def butterfly(cls, size: int) -> "Factor":
@@ -127,42 +135,31 @@ class Factor:
     # -- cost --------------------------------------------------------------
 
     def cost(self) -> Cost:
-        if self.declared_cost is not None:
-            return self.declared_cost
-        if self.kind is FactorKind.PERMUTATION:
-            return (0, 0)
+        """The declared (adds, shifts) where there is one, else the counted."""
+        return self.counted_cost() if self.declared_cost is None else self.declared_cost
+
+    def counted_cost(self) -> Cost:
+        if self.kind is FactorKind.GATHER:
+            return self.payload.cost()
         if self.kind is FactorKind.BUTTERFLY:
             return (self.size, 0)
         if self.kind is FactorKind.BLOCK_DIAG:
-            blocks = self.payload
-            if _identical(blocks):
-                adds, shifts = blocks[0].cost()
-                return (len(blocks) * adds, len(blocks) * shifts)
-            return reduce(_add_costs, (b.cost() for b in blocks), (0, 0))
+            count = self.size // self.payload.size
+            adds, shifts = self.payload.cost()
+            return (count * adds, count * shifts)
         return count_dense_dyadic(self.payload)
 
-    # -- dense views -------------------------------------------------------
+    # -- dense view --------------------------------------------------------
 
     def dyadic(self) -> DyadicMatrix:
-        if self.kind is FactorKind.PERMUTATION:
-            return self.payload.to_dyadic()
+        if self.kind is FactorKind.GATHER:
+            return self.payload.dyadic()
         if self.kind is FactorKind.BUTTERFLY:
-            half = self.size // 2
-            eye = np.eye(half, dtype=np.int64)
-            top = np.hstack([eye, np.fliplr(eye)])
-            bottom = np.hstack([np.fliplr(eye), -eye])
-            return DyadicMatrix(np.vstack([top, bottom]))
+            return butterfly(self.size // 2)
         if self.kind is FactorKind.BLOCK_DIAG:
-            blocks = self.payload
-            if _identical(blocks):
-                mats = [blocks[0].dyadic()] * len(blocks)
-            else:
-                mats = [b.dyadic() for b in blocks]
-            return reduce(DyadicMatrix.block_diag, mats)
+            count = self.size // self.payload.size
+            return reduce(DyadicMatrix.block_diag, [self.payload.dyadic()] * count)
         return self.payload
-
-    def dense(self) -> np.ndarray:
-        return self.dyadic().to_real()
 
     # -- application -------------------------------------------------------
 
@@ -178,28 +175,29 @@ class Factor:
         return self.plan.apply_real(x)
 
     def describe(self) -> dict:
+        """Kind, size and cost, plus the structure: a gather's arrays, a
+        block-diag's count and block, a leaf's entries.  A declared cost
+        also reports the ``counted`` one it replaces."""
         adds, shifts = self.cost()
         info: dict = {"kind": self.kind.value, "size": self.size, "adds": adds, "shifts": shifts}
-        if self.kind is FactorKind.PERMUTATION:
-            info["map"] = list(map(int, self.payload.map))
+        if self.declared_cost is not None:
+            info["counted"] = list(self.counted_cost())
+        if self.kind is FactorKind.GATHER:
+            g = self.payload
+            info.update(index=g.index.tolist(), mult=g.multipliers().tolist(), shift=g.shift)
         elif self.kind is FactorKind.BLOCK_DIAG:
-            info["blocks"] = [b.describe() for b in self.payload]
-        elif self.kind is not FactorKind.BUTTERFLY:
+            info.update(count=self.size // self.payload.size, block=self.payload.describe())
+        elif self.kind is FactorKind.LEAF:
             info["entries"] = [[str(e) for e in row] for row in self.payload.entries()]
         return info
 
 
 @dataclass(frozen=True)
 class FactoredTransform:
-    """Ordered product of factors; ``factors[0]`` is the leftmost matrix.
-
-    ``declared_base`` marks an opaque leaf: its cost is the published
-    fast-algorithm count rather than the sum of naive factor costs.
-    """
+    """Ordered product of factors; ``factors[0]`` is the leftmost matrix."""
 
     size: int
     factors: tuple[Factor, ...]
-    declared_base: Cost | None = None
 
     def __post_init__(self) -> None:
         for f in self.factors:
@@ -209,8 +207,6 @@ class FactoredTransform:
                 )
 
     def cost(self) -> Cost:
-        if self.declared_base is not None:
-            return self.declared_base
         return reduce(_add_costs, (f.cost() for f in self.factors), (0, 0))
 
     def dyadic(self) -> DyadicMatrix:
@@ -239,7 +235,6 @@ class FactoredTransform:
             "size": self.size,
             "adds": adds,
             "shifts": shifts,
-            "declared_base": list(self.declared_base) if self.declared_base else None,
             "factors": [f.describe() for f in self.factors],
         }
 
@@ -252,27 +247,53 @@ class FactoredTransform:
 
 
 class _Gather:
-    """``y[i] = mult[i] * x[index[i]]``: a permutation, or a generalized
-    permutation with integer multipliers over ``2**shift``."""
+    """``y[i] = mult[i] * x[index[i]]`` over ``2**shift``: a permutation, or a
+    generalized permutation with integer multipliers.  A gather factor's
+    payload and its plan stage are the same object."""
 
     def __init__(self, index, mult=None, shift: int = 0):
         self.index = np.asarray(index, dtype=np.intp)
         self.unpermuted = bool(np.array_equal(self.index, np.arange(self.index.size)))
-        if mult is not None and np.all(mult == 1):
-            mult = None
-        self.mult = None if mult is None else np.asarray(mult, dtype=np.int64)
-        self._column = None if mult is None else self.mult[:, None]
+        mult = None if mult is None else np.asarray(mult, dtype=np.int64)
+        self.mult = None if mult is None or np.all(mult == 1) else mult
+        self._column = None if self.mult is None else self.mult[:, None]
         self.shift = shift
-        self.norm = 1 if mult is None else int(np.abs(self.mult).max(initial=0))
+        self.norm = 1 if self.mult is None else int(np.abs(self.mult).max(initial=0))
+
+    def multipliers(self) -> np.ndarray:
+        return np.ones(self.index.size, np.int64) if self.mult is None else self.mult
+
+    def cost(self) -> Cost:
+        """No adds; one shift per nonzero multiplier of magnitude other than 2**shift."""
+        mag = np.abs(self.multipliers())
+        return (0, int(np.count_nonzero((mag != 0) & (mag != 1 << self.shift))))
+
+    def dyadic(self) -> DyadicMatrix:
+        n = self.index.size
+        num = np.zeros((n, n), dtype=np.int64)
+        num[np.arange(n), self.index] = self.multipliers()
+        return DyadicMatrix(num, self.shift)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Gather):
+            return NotImplemented
+        return (
+            self.shift == other.shift
+            and np.array_equal(self.index, other.index)
+            and np.array_equal(self.multipliers(), other.multipliers())
+        )
+
+    def __hash__(self):
+        return hash((self.index.tobytes(), self.multipliers().tobytes(), self.shift))
 
     def is_identity(self) -> bool:
         return self.unpermuted and self.mult is None and self.shift == 0
 
     def then(self, other: "_Gather") -> "_Gather":
         """One gather doing ``self`` first, then ``other``."""
-        mine = np.ones(self.index.size, np.int64) if self.mult is None else self.mult
         theirs = 1 if other.mult is None else other.mult
-        return _Gather(self.index[other.index], mine[other.index] * theirs, self.shift + other.shift)
+        mult = self.multipliers()[other.index] * theirs
+        return _Gather(self.index[other.index], mult, self.shift + other.shift)
 
     def tiled(self, count: int) -> "_Gather":
         """The same gather on each of ``count`` consecutive blocks."""
@@ -355,49 +376,14 @@ class _Blocks:
         return [head] + ["  " + line for line in self.plan.lines()]
 
 
-class _Slices:
-    """Distinct diagonal blocks, run slice by slice and aligned to one shift."""
-
-    def __init__(self, plans: tuple["Plan", ...]):
-        self.plans = plans
-        self.shift = max(p.shift for p in plans)
-        self.scales = [1 << (self.shift - p.shift) for p in plans]
-        self.norm = max(p.growth * k for p, k in zip(plans, self.scales))
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        start = 0
-        for plan, k in zip(self.plans, self.scales):
-            stop = start + plan.size
-            y = plan.run(x[..., start:stop, :])
-            out[..., start:stop, :] = y * k if k != 1 else y
-            start = stop
-        return out
-
-    def lines(self) -> list[str]:
-        out = [f"{len(self.plans)} distinct blocks, slice by slice:"]
-        for plan in self.plans:
-            out.extend("  " + line for line in plan.lines())
-        return out
-
-
 def _compile(f: Factor) -> list:
     """The stages of one factor, in application order."""
-    if f.kind is FactorKind.PERMUTATION:
-        return [_Gather(f.payload.inverse().map)]
+    if f.kind is FactorKind.GATHER:
+        return [f.payload]
     if f.kind is FactorKind.BUTTERFLY:
         return [_Butterfly(f.size // 2)]
     if f.kind is FactorKind.BLOCK_DIAG:
-        blocks = f.payload
-        if len(blocks) == 1:
-            return list(blocks[0].plan.stages)
-        if _identical(blocks):
-            return _blocks(len(blocks), blocks[0].plan)
-        return [_Slices(tuple(b.plan for b in blocks))]
-    if is_generalized_permutation(f.payload):
-        num = f.payload.numerators()
-        index = np.argmax(num != 0, axis=1)
-        return [_Gather(index, num[np.arange(f.size), index], f.payload.shift)]
+        return _blocks(f.size // f.payload.size, f.payload.plan)
     return [_Dense(f.payload)]
 
 
@@ -481,10 +467,6 @@ class Plan:
         return "\n".join(self.lines())
 
 
-def cost(ft: FactoredTransform) -> Cost:
-    return ft.cost()
-
-
 def apply(ft: FactoredTransform, x) -> list[DyadicRational] | DyadicMatrix | np.ndarray:
     """Apply the factored transform to a vector or to the columns of a batch.
 
@@ -514,14 +496,7 @@ def compose(a: FactoredTransform, b: FactoredTransform) -> FactoredTransform:
     """Product a·b as a factored transform; costs add exactly."""
     if a.size != b.size:
         raise ValueError("cannot compose transforms of different sizes")
-
-    def as_factors(t: FactoredTransform) -> tuple[Factor, ...]:
-        if t.declared_base is None:
-            return t.factors
-        # keep the opaque leaf's declared cost by wrapping it whole
-        return (Factor.block_diag((t,)),)
-
-    return FactoredTransform(a.size, as_factors(a) + as_factors(b))
+    return FactoredTransform(a.size, a.factors + b.factors)
 
 
 def to_json(ft: FactoredTransform) -> str:

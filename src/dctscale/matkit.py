@@ -508,22 +508,3 @@ def is_generalized_permutation(m) -> bool:
         np.all(pattern.sum(axis=0) == 1) and np.all(pattern.sum(axis=1) == 1)
     )
 
-
-def diag_inv_sqrt(m) -> np.ndarray:
-    """Diagonal matrix with entries ``sqrt([(m)^-1]_kk)``.
-
-    The full inverse is computed first (LAPACK LU with partial pivoting),
-    then the square root of its diagonal is taken.  For diagonal input this
-    reduces to ``diag(1/sqrt(m_kk))``.
-    """
-    m = as_real(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("diag_inv_sqrt expects a square matrix")
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular matrix: {exc}") from exc
-    d = np.diag(inv).copy()
-    if np.any(d <= 0):
-        raise ValueError("inverse has a non-positive diagonal entry")
-    return np.diag(np.sqrt(d))

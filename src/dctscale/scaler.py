@@ -23,11 +23,13 @@ arithmetic on one int64 numerator array over a common shift, in O(N^2):
 with the butterfly multiplied out, the stacked halves are ``[T, T Ibar]``
 and ``[B-hat T G-hat Ibar, -B-hat T G-hat]``, where B-hat is a signed row
 gather, G-hat a column sign and Ibar a column reversal; the perfect
-shuffle then scatters the rows.  The five-factor product
-``P · bd(I, B-hat) · bd(T, T) · bd(I, G-hat) · Bf`` is kept as the
-factored transform and is the reference the construction is tested
-against.  ``scale_to`` carries each level's dyadic matrix into the next
-and orthogonalizes the final level only.
+shuffle then gathers the rows.  The same index, multiplier and sign
+arrays (``_mixing``) are the gather factors of the factored transform
+``P · bd(I, B-hat) · bd(T, T) · bd(I, G-hat) · Bf``, whose bd(T, T) is
+two copies of the level below, so no gather is expanded into an N x N
+matrix.  ``scale_to`` carries each level's dyadic matrix into the next
+and orthogonalizes the final level only; ``scale`` of a factored seed
+takes the seed's matrix from its compiled plan.
 """
 from __future__ import annotations
 
@@ -94,13 +96,6 @@ def _mixing(mid: str, half: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarra
     return index, mult, 1, signs
 
 
-def _gather_matrix(index: np.ndarray, mult: np.ndarray, shift: int = 0) -> DyadicMatrix:
-    """Generalized permutation with ``mult[i] / 2**shift`` at (i, index[i])."""
-    num = np.zeros((index.size, index.size), dtype=np.int64)
-    num[np.arange(index.size), index] = mult
-    return DyadicMatrix(num, shift)
-
-
 def method_blocks(method: str, half: int):
     """Parameter pair (B-hat, G-hat) at half-size ``half``.
 
@@ -111,7 +106,8 @@ def method_blocks(method: str, half: int):
     if mid == "exact":
         return counter_mixing(half), signed_cosine_diagonal(half)
     index, mult, shift, signs = _mixing(mid, half)
-    return _gather_matrix(index, mult, shift), _gather_matrix(np.arange(half), signs)
+    b_hat = Factor.gather(index, mult, shift).dyadic()
+    return b_hat, Factor.gather(np.arange(half), signs).dyadic()
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +160,9 @@ class _Level(NamedTuple):
 
 def _coerce_seed(t, base_cost) -> _Level:
     if isinstance(t, FactoredTransform):
-        return _Level(t, t.dyadic(), None)
+        # the plan's exact image of the identity, in place of the literal
+        # O(N^3) product of the factors
+        return _Level(t, t.plan.apply_batch(np.eye(t.size, dtype=np.int64)), None)
     if isinstance(t, Permutation):
         t = t.to_dyadic()
     if isinstance(t, DyadicMatrix):
@@ -172,10 +170,7 @@ def _coerce_seed(t, base_cost) -> _Level:
             raise ValueError("seed transform must be square")
         if t.rows < 1:
             raise ValueError("seed transform must be at least 1x1")
-        leaf = FactoredTransform(
-            t.rows, (Factor.sparse(t),), declared_base=base_cost
-        )
-        return _Level(leaf, t, None)
+        return _Level(FactoredTransform(t.rows, (Factor.leaf(t, base_cost),)), t, None)
     arr = np.asarray(t, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("seed transform must be a square matrix")
@@ -184,10 +179,10 @@ def _coerce_seed(t, base_cost) -> _Level:
     return _Level(None, None, arr)
 
 
-def _double_dyadic(leaf: FactoredTransform, t: DyadicMatrix, mid: str):
+def _double_dyadic(block: FactoredTransform, t: DyadicMatrix, mid: str):
     """One dyadic doubling: (index-built DyadicMatrix, its FactoredTransform)."""
     n = t.rows
-    shuffle = perfect_shuffle(n)
+    unshuffle = perfect_shuffle(n).inverse().map  # P as a row gather
     index, mult, b_shift, signs = _mixing(mid, n)
 
     num = t.numerators()
@@ -195,27 +190,24 @@ def _double_dyadic(leaf: FactoredTransform, t: DyadicMatrix, mid: str):
     halves = np.vstack(
         [np.hstack([num, num[:, ::-1]]) << b_shift, np.hstack([low[:, ::-1], -low])]
     )
-    doubled = np.empty_like(halves)
-    doubled[shuffle.map] = halves
-    dyadic = DyadicMatrix(doubled, t.shift + b_shift)
+    dyadic = DyadicMatrix(halves[unshuffle], t.shift + b_shift)
 
-    rows = np.arange(n)
-    left = _gather_matrix(
-        np.concatenate([rows, n + index]),
-        np.concatenate([np.full(n, 1 << b_shift), mult]),
-        b_shift,
-    )
-    right = _gather_matrix(np.arange(2 * n), np.concatenate([np.ones(n, dtype=np.int64), signs]))
+    ones = np.ones(n, dtype=np.int64)
     # the half-magnitude entry of methods III/VII (b_shift 1) is absorbed
     # by the final rescaling, so their mixing stage is declared shift-free
-    left_declared = (0, 0) if b_shift else None
+    mixing = Factor.gather(
+        np.concatenate([np.arange(n), n + index]),
+        np.concatenate([ones << b_shift, mult]),
+        b_shift,
+        declared_cost=(0, 0) if b_shift else None,
+    )
     factored = FactoredTransform(
         2 * n,
         (
-            Factor.permutation(shuffle),
-            Factor.sparse(left, declared_cost=left_declared),
-            Factor.block_diag((leaf, leaf)),
-            Factor.diagonal(right),
+            Factor.gather(unshuffle),
+            mixing,
+            Factor.block_diag(block, 2),
+            Factor.gather(np.arange(2 * n), np.concatenate([ones, signs])),
             Factor.butterfly(2 * n),
         ),
     )

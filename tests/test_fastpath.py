@@ -1,21 +1,24 @@
 """Factored transforms: cost accounting and the exact application path.
 
 The cost model is checked against the published operation counts for the
-doubled 8-point approximations (adds = 2A + 2N per doubling, shifts = 2S)
-and the integer path is checked bit-exactly against the dense product,
-including hypothesis properties of the compiled plan up to N = 256.
+doubled 8-point approximations (adds = 2A + 2N per doubling, shifts = 2S),
+the gather cost against the dense count of its matrix, the ``describe()``
+tree by rebuilding the transform from it, and the integer path
+bit-exactly against the dense product, including hypothesis properties
+of the compiled plan up to N = 256.
 """
 from __future__ import annotations
 
 import functools
 import json
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dctscale import catalog, fastpath
+from dctscale import catalog
 from dctscale.exact import (
     butterfly,
     counter_identity,
@@ -29,7 +32,6 @@ from dctscale.fastpath import (
     FactorKind,
     apply,
     compose,
-    cost,
     count_dense_dyadic,
     to_json,
 )
@@ -100,36 +102,72 @@ def test_count_dense_dyadic_on_scaled_matrices():
 
 
 def test_factor_validation():
+    leaf = FactoredTransform(8, (Factor.leaf(RDCT.matrix),))
     with pytest.raises(ValueError, match="square"):
-        Factor.sparse(DyadicMatrix(np.zeros((2, 3), dtype=np.int64)))
-    with pytest.raises(ValueError, match="off-diagonal"):
-        Factor.diagonal(DyadicMatrix([[1, 1], [0, 1]]))
+        Factor.leaf(DyadicMatrix(np.zeros((2, 3), dtype=np.int64)))
+    for index in ([0, 2], [-1, 0], [[0]]):
+        with pytest.raises(ValueError, match="gather index"):
+            Factor.gather(index)
+    with pytest.raises(ValueError, match="one multiplier per output"):
+        Factor.gather([1, 0], [1, 1, 1])
+    with pytest.raises(ValueError, match="gather shift"):
+        Factor.gather([0], [1], 62)
     with pytest.raises(ValueError, match="butterfly size"):
         Factor.butterfly(3)
     with pytest.raises(ValueError, match="butterfly size"):
         Factor.butterfly(0)
     with pytest.raises(ValueError, match="at least one block"):
-        Factor.block_diag(())
+        Factor.block_diag(leaf, 0)
 
 
 def test_factor_costs():
-    assert Factor.permutation(perfect_shuffle(4)).cost() == (0, 0)
+    assert Factor.gather(perfect_shuffle(4).inverse().map).cost() == (0, 0)
     assert Factor.butterfly(16).cost() == (16, 0)
-    assert Factor.diagonal(DyadicMatrix([[2, 0], [0, 1]])).cost() == (0, 1)
-    assert Factor.diagonal(DyadicMatrix([[4, 0], [0, 1]], 1)).cost() == (0, 2)
-    assert Factor.sparse(RDCT.matrix).cost() == (40, 0)
-    assert Factor.sparse(RDCT.matrix, declared_cost=(22, 0)).cost() == (22, 0)
+    assert Factor.gather([0, 1], [2, 1]).cost() == (0, 1)
+    assert Factor.gather([0, 1], [4, 1], 1).cost() == (0, 2)
+    assert Factor.gather([1, 0], [-2, 0], 1).cost() == (0, 0)
+    assert Factor.gather([1, 0], [-2, 0], 1, declared_cost=(0, 3)).cost() == (0, 3)
+    assert Factor.leaf(RDCT.matrix).cost() == (40, 0)
+    assert Factor.leaf(RDCT.matrix, declared_cost=(22, 0)).cost() == (22, 0)
+    leaf = FactoredTransform(8, (Factor.leaf(RDCT.matrix, (22, 0)),))
+    assert Factor.block_diag(leaf, 4).cost() == (88, 0)
 
 
 def test_factor_dyadic_views():
     assert Factor.butterfly(4).dyadic() == butterfly(2)
     p = perfect_shuffle(4)
-    assert Factor.permutation(p).dyadic() == p.to_dyadic()
-    leaf = FactoredTransform(8, (Factor.sparse(RDCT.matrix),))
-    stacked = Factor.block_diag((leaf, leaf))
+    assert Factor.gather(p.inverse().map).dyadic() == p.to_dyadic()
+    # -Ibar Z J: reversed rows, alternating signs, the last one halved
+    rows = np.arange(8)
+    mult = -2 * (-1) ** rows[::-1]
+    mult[-1] //= 2
+    mix = -(counter_identity(8) @ half_leading_diagonal(8) @ sign_diagonal(8))
+    assert Factor.gather(rows[::-1], mult, 1).dyadic() == mix
+    leaf = FactoredTransform(8, (Factor.leaf(RDCT.matrix),))
+    stacked = Factor.block_diag(leaf, 2)
     assert stacked.size == 16
     assert stacked.dyadic() == DyadicMatrix.block_diag(RDCT.matrix, RDCT.matrix)
-    assert stacked.dense() == pytest.approx(stacked.dyadic().to_real())
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(1, 64), shift=st.integers(0, 6), data=st.data())
+def test_gather_cost_matches_dense_count(n, shift, data):
+    # identity and other index vectors, +-2**shift units, halves and other
+    # multipliers, zeros, shift 0 included
+    unit = 1 << shift
+    values = [unit, -unit, 2 * unit, -2 * unit, 3, -5, 0]
+    if shift:
+        values += [unit // 2, -(unit // 2), 1, -1]
+    index = data.draw(
+        st.one_of(
+            st.just(list(range(n))),
+            st.permutations(range(n)),
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+        )
+    )
+    mult = data.draw(st.none() | st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    g = Factor.gather(index, mult, shift)
+    assert g.cost() == count_dense_dyadic(g.dyadic())
 
 
 def test_factor_apply_butterfly():
@@ -146,7 +184,7 @@ def test_factor_apply_butterfly():
 
 def test_factor_apply_permutation_matches_matrix():
     p = perfect_shuffle(4)
-    f = Factor.permutation(p)
+    f = Factor.gather(p.inverse().map)
     x = np.arange(8.0)
     assert f.apply_real(x) == pytest.approx(p.to_real() @ x)
     exact = f.apply_exact([DyadicRational(int(v)) for v in range(8)])
@@ -162,27 +200,44 @@ def test_factored_transform_size_check():
 
 
 def test_identical_blocks_are_costed_once(monkeypatch):
-    # seven doublings by VII: each level counts its one undeclared stage,
-    # the sign diagonal, once, rather than once per copy of its block
+    # seven doublings by VII: each level's transform is costed once, rather
+    # than once per copy of it in the level above
     ft = scale_to(catalog.load("bas2").matrix, 1024, "VII", base_cost=(18, 2)).factored
-    counted = []
-    real_count = fastpath.count_dense_dyadic
+    costed = []
+    real_cost = FactoredTransform.cost
 
-    def counting(m):
-        counted.append(m.rows)
-        return real_count(m)
+    def counting(self):
+        costed.append(self.size)
+        return real_cost(self)
 
-    monkeypatch.setattr(fastpath, "count_dense_dyadic", counting)
+    monkeypatch.setattr(FactoredTransform, "cost", counting)
     assert ft.cost() == (128 * 18 + 7 * 1024, 128 * 2)
-    assert sorted(counted) == [16 << k for k in range(7)]
+    assert sorted(costed) == [8 << k for k in range(8)]
+
+
+def test_scale_to_builds_one_matrix_per_level(monkeypatch):
+    # the gather stages are O(N) arrays: scaling and costing build one
+    # dense matrix per level, the doubled transform itself
+    seed = catalog.load("abdct").matrix
+    built = []
+    real_init = DyadicMatrix.__init__
+
+    def recording(self, numerators, shift=0):
+        real_init(self, numerators, shift)
+        built.append(self.rows)
+
+    monkeypatch.setattr(DyadicMatrix, "__init__", recording)
+    scale_to(seed, 256, ("III", "VI", "JAM", "VII", "II"), base_cost=(24, 6)).factored.cost()
+    assert built == [16, 32, 64, 128, 256]
 
 
 def test_declared_base_overrides_naive_cost():
-    naive = FactoredTransform(8, (Factor.sparse(RDCT.matrix),))
+    naive = FactoredTransform(8, (Factor.leaf(RDCT.matrix),))
     assert naive.cost() == (40, 0)
-    leaf = FactoredTransform(8, (Factor.sparse(RDCT.matrix),), declared_base=(22, 0))
+    leaf = FactoredTransform(8, (Factor.leaf(RDCT.matrix, declared_cost=(22, 0)),))
     assert leaf.cost() == (22, 0)
-    assert cost(leaf) == (22, 0)
+    # the base cost given to scale is declared on the seed's leaf
+    assert scale(RDCT.matrix, "JAM", base_cost=(22, 0)).factored.factors[2].payload == leaf
 
 
 @pytest.mark.parametrize(
@@ -370,15 +425,15 @@ def test_engine_matches_dense_product_n256(data):
 
 @_PROPERTY
 @given(
-    members=st.lists(st.sampled_from(catalog.APPROXIMATION_IDS), min_size=3, max_size=3),
+    members=st.lists(st.sampled_from(catalog.APPROXIMATION_IDS), min_size=2, max_size=2),
     levels=st.integers(1, 2),
     data=st.data(),
 )
 def test_engine_heterogeneous_block_diag(members, levels, data):
     chains = st.lists(st.sampled_from(DYADIC_METHOD_IDS), min_size=levels, max_size=levels)
-    a, b, c = (_built(m, tuple(data.draw(chains))).factored for m in members)
-    # distinct blocks with distinct shifts, one of them a composition
-    ft = FactoredTransform(2 * a.size, (Factor.block_diag((a, compose(b, c))),))
+    b, c = (_built(m, tuple(data.draw(chains))).factored for m in members)
+    # two copies of a block composed of transforms with distinct shifts
+    ft = FactoredTransform(2 * b.size, (Factor.block_diag(compose(b, c), 2),))
     whole = ft.dyadic()
     n = ft.size
     x = data.draw(st.lists(st.integers(-(2**20), 2**20), min_size=n, max_size=n))
@@ -404,9 +459,10 @@ def test_compose_adds_costs_and_multiplies():
 
 
 def test_compose_keeps_declared_leaf_cost():
-    leaf = FactoredTransform(8, (Factor.sparse(RDCT.matrix),), declared_base=(22, 0))
-    ident = FactoredTransform(8, (Factor.permutation(perfect_shuffle(4)),))
+    leaf = FactoredTransform(8, (Factor.leaf(RDCT.matrix, (22, 0)),))
+    ident = FactoredTransform(8, (Factor.gather(perfect_shuffle(4).inverse().map),))
     both = compose(leaf, ident)
+    assert both.factors == leaf.factors + ident.factors
     assert both.cost() == (22, 0)
     assert both.dense() == pytest.approx(RDCT.matrix.to_real() @ perfect_shuffle(4).to_real())
     twice = compose(leaf, leaf)
@@ -415,7 +471,7 @@ def test_compose_keeps_declared_leaf_cost():
 
 
 def test_compose_size_mismatch():
-    small = FactoredTransform(8, (Factor.sparse(RDCT.matrix),))
+    small = FactoredTransform(8, (Factor.leaf(RDCT.matrix),))
     big = scale(RDCT.matrix, "JAM").factored
     with pytest.raises(ValueError, match="different sizes"):
         compose(small, big)
@@ -431,19 +487,58 @@ def test_describe_and_json():
     assert doc["size"] == 16
     assert (doc["adds"], doc["shifts"]) == ft.cost()
     kinds = [f["kind"] for f in doc["factors"]]
-    assert kinds == ["permutation", "sparse", "block-diag", "diagonal", "butterfly"]
-    assert doc["factors"][0]["map"] == list(perfect_shuffle(8).map)
-    blocks = doc["factors"][2]["blocks"]
-    assert len(blocks) == 2 and blocks[0]["adds"] == 22
+    assert kinds == ["gather", "gather", "block-diag", "gather", "butterfly"]
+    assert doc["factors"][0]["index"] == perfect_shuffle(8).inverse().map.tolist()
+    mixing = doc["factors"][1]
+    assert (mixing["adds"], mixing["shifts"], mixing["shift"]) == (0, 0, 1)
+    assert mixing["counted"] == [0, 1]  # the declared cost hides the half
+    blocks = doc["factors"][2]
+    assert blocks["count"] == 2 and blocks["block"]["adds"] == 22
+    leaf = blocks["block"]["factors"][0]
+    assert (leaf["kind"], leaf["adds"], leaf["counted"]) == ("leaf", 22, [40, 0])
+    assert leaf["entries"] == [[str(e) for e in row] for row in RDCT.matrix.entries()]
     parsed = json.loads(to_json(ft))
     assert parsed == doc
 
 
+def _rebuilt(node) -> DyadicMatrix:
+    """A node's matrix rebuilt from its description alone, with its
+    adds and shifts checked against its children or its dense count."""
+    cost = [node["adds"], node["shifts"]]
+    if "factors" in node:
+        mats = [_rebuilt(f) for f in node["factors"]]
+        assert cost == [sum(f[k] for f in node["factors"]) for k in ("adds", "shifts")]
+        return functools.reduce(operator.matmul, mats)
+    n, kind = node["size"], node["kind"]
+    if kind == "block-diag":
+        block = node["block"]
+        assert cost == [node["count"] * block["adds"], node["count"] * block["shifts"]]
+        return functools.reduce(DyadicMatrix.block_diag, [_rebuilt(block)] * node["count"])
+    if kind == "butterfly":
+        eye = np.eye(n // 2, dtype=np.int64)
+        m = DyadicMatrix(np.block([[eye, eye[::-1]], [eye[::-1], -eye]]))
+    elif kind == "gather":
+        num = np.zeros((n, n), dtype=np.int64)
+        num[np.arange(n), node["index"]] = node["mult"]
+        m = DyadicMatrix(num, node["shift"])
+    else:
+        assert kind == "leaf"
+        m = DyadicMatrix.from_entries(node["entries"])
+    assert node.get("counted", cost) == list(count_dense_dyadic(m))
+    return m
+
+
+@pytest.mark.parametrize(
+    "approx_id,chain",
+    [("rdct", ("VII",)), ("abdct", ("V", "IV", "VII")), ("bas2", ("III", "VI", "JAM", "II"))],
+)
+def test_describe_round_trip(approx_id, chain):
+    scaled = _built(approx_id, chain)
+    ft = scaled.factored
+    rebuilt = _rebuilt(json.loads(to_json(ft)))
+    assert rebuilt == ft.dyadic() == scaled.dyadic
+    assert rebuilt.shift == scaled.dyadic.shift
+
+
 def test_factor_kind_values():
-    assert {k.value for k in FactorKind} == {
-        "permutation",
-        "diagonal",
-        "block-diag",
-        "butterfly",
-        "sparse",
-    }
+    assert {k.value for k in FactorKind} == {"gather", "butterfly", "block-diag", "leaf"}

@@ -2,9 +2,8 @@
 
 The dyadic types back every cost count and every bit-exact claim in the
 package, so they get the heaviest randomized coverage: arithmetic is
-cross-checked against Fraction, the matrix product against a Fraction
-matmul, and the orthogonalization helper against a hand-rolled
-Gauss-Jordan inverse.
+cross-checked against Fraction and the matrix product against a Fraction
+matmul.
 """
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ from dctscale.matkit import (
     Permutation,
     as_real,
     canonical,
-    diag_inv_sqrt,
     frobenius_distance,
     is_diagonal,
     is_generalized_permutation,
@@ -325,49 +323,3 @@ def test_as_real_coercions():
     assert as_real(DyadicMatrix.identity(2)) == pytest.approx(np.eye(2))
     assert as_real(Permutation([0, 1])) == pytest.approx(np.eye(2))
     assert as_real([[1, 2], [3, 4]]).dtype == np.float64
-
-
-# ── diag_inv_sqrt ──────────────────────────────────────────────────────────
-
-
-def _gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
-    """Brute-force inverse with partial pivoting (independent oracle)."""
-    n = a.shape[0]
-    work = np.hstack([a.astype(np.float64).copy(), np.eye(n)])
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(work[col:, col])))
-        if abs(work[pivot, col]) < 1e-14:
-            raise ZeroDivisionError("singular")
-        work[[col, pivot]] = work[[pivot, col]]
-        work[col] /= work[col, col]
-        for row in range(n):
-            if row != col:
-                work[row] -= work[row, col] * work[col]
-    return work[:, n:]
-
-
-def test_diag_inv_sqrt_scalar_matrix():
-    assert diag_inv_sqrt(4.0 * np.eye(3)) == pytest.approx(0.5 * np.eye(3))
-
-
-def test_diag_inv_sqrt_diagonal_gram():
-    d = np.diag([8.0, 6.0, 4.0, 6.0, 8.0, 6.0, 4.0, 6.0])
-    want = np.diag(1.0 / np.sqrt(np.diag(d)))
-    assert diag_inv_sqrt(d) == pytest.approx(want, abs=1e-14)
-
-
-def test_diag_inv_sqrt_full_inverse_first():
-    # non-diagonal input: the inverse comes before the diagonal square root
-    sdct = np.sign(transform_matrix(TransformKind.DCT2, 8))
-    gram = sdct @ sdct.T
-    want = np.diag(np.sqrt(np.diag(_gauss_jordan_inverse(gram))))
-    assert diag_inv_sqrt(gram) == pytest.approx(want, abs=1e-12)
-
-
-def test_diag_inv_sqrt_errors():
-    with pytest.raises(ValueError):
-        diag_inv_sqrt(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        diag_inv_sqrt(np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        diag_inv_sqrt(np.ones((2, 3)))

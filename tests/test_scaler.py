@@ -27,6 +27,7 @@ from dctscale.exact import (
     signed_cosine_diagonal,
     transform_matrix,
 )
+from dctscale.fastpath import FactoredTransform
 from dctscale.matkit import DyadicMatrix, as_real, frobenius_distance
 from dctscale.scaler import (
     DYADIC_METHOD_IDS,
@@ -404,14 +405,24 @@ def test_index_built_doubling_matches_five_factor_product(approx_id, chain):
     assert _same_representation(scale_to(catalog.load(approx_id).matrix, t.rows, chain).dyadic, t)
 
 
-def test_scale_of_factored_seed_matches_scale_to():
-    t = catalog.load("abdct").matrix
-    level1 = scale(t, "III", base_cost=(24, 6))
-    via_factors = scale(level1.factored, "VI")
-    carried = scale_to(t, 32, ("III", "VI"), base_cost=(24, 6))
-    assert _same_representation(via_factors.dyadic, carried.dyadic)
-    assert via_factors.factored == carried.factored
-    assert np.array_equal(via_factors.c_hat, carried.c_hat)
+def test_scale_of_factored_seed_matches_scale_to(monkeypatch):
+    # a factored seed's matrix comes from its plan, not from the literal
+    # product of its factors
+    def no_product(self):
+        raise AssertionError("scale rebuilt the seed from its factors")
+
+    monkeypatch.setattr(FactoredTransform, "dyadic", no_product)
+    chains = (("abdct", ("III", "VI")), ("bas2", ("VII", "IV", "III", "VI", "I", "II")))
+    for approx_id, chain in chains:
+        entry = catalog.load(approx_id)
+        base = (entry.baseline_adds, entry.baseline_shifts)
+        size = 8 << len(chain)
+        below = scale_to(entry.matrix, size // 2, chain[:-1], base_cost=base)
+        via_factors = scale(below.factored, chain[-1])
+        carried = scale_to(entry.matrix, size, chain, base_cost=base)
+        assert _same_representation(via_factors.dyadic, carried.dyadic)
+        assert via_factors.factored == carried.factored
+        assert np.array_equal(via_factors.c_hat, carried.c_hat)
 
 
 @_LARGE
