@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-import scipy.linalg
 
 from .matkit import DyadicMatrix, Permutation
 
@@ -187,6 +186,10 @@ def _residual(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.block([[a, np.zeros((len(a), len(b)))], [np.zeros((len(b), len(a))), b]])
+
+
 def _dst4_from_dct4(n: int) -> float:
     lhs = transform_matrix(TransformKind.DST4, n)
     rhs = (
@@ -215,9 +218,7 @@ def _dct4_from_dct2(n: int) -> float:
 
 def _doubling_rhs(n: int, lower_block: np.ndarray) -> np.ndarray:
     p = perfect_shuffle(n).to_real()
-    mid = scipy.linalg.block_diag(
-        transform_matrix(TransformKind.DCT2, n), lower_block
-    )
+    mid = _block_diag(transform_matrix(TransformKind.DCT2, n), lower_block)
     return SQRT2_OVER_2 * p @ mid @ butterfly(n).to_real()
 
 
@@ -249,9 +250,9 @@ def _prop1_factorization(n: int) -> float:
     rhs = (
         SQRT2_OVER_2
         * p
-        @ scipy.linalg.block_diag(eye, counter_mixing(n))
-        @ scipy.linalg.block_diag(c2, c2)
-        @ scipy.linalg.block_diag(eye, signed_cosine_diagonal(n))
+        @ _block_diag(eye, counter_mixing(n))
+        @ _block_diag(c2, c2)
+        @ _block_diag(eye, signed_cosine_diagonal(n))
         @ butterfly(n).to_real()
     )
     return _residual(lhs, rhs)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .matkit import as_real
 
@@ -30,7 +29,9 @@ class SignalModel:
 
     def autocovariance(self) -> np.ndarray:
         """Covariance matrix [R_x]_ij = rho^|i-j| (symmetric Toeplitz)."""
-        return scipy.linalg.toeplitz(self.rho ** np.arange(self.size))
+        p = self.rho ** np.arange(self.size)
+        rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([p[:0:-1], p]), self.size)
+        return rows[::-1].copy()  # row i is the window p[i], ..., p[0], ..., p[N-1-i]
 
 
 @dataclass(frozen=True)

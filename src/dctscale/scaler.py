@@ -18,13 +18,13 @@ Method registry (B-hat, G-hat per half-size N):
 with J the alternating-sign diagonal, Ibar the counter identity and Z the
 identity with leading entry 1/2.
 
-For dyadic seeds and methods the doubled matrix is built by index
-arithmetic on one int64 numerator array over a common shift, in O(N^2):
-with the butterfly multiplied out, the stacked halves are ``[T, T Ibar]``
-and ``[B-hat T G-hat Ibar, -B-hat T G-hat]``, where B-hat is a signed row
-gather, G-hat a column sign and Ibar a column reversal; the perfect
-shuffle then gathers the rows.  The same index, multiplier and sign
-arrays (``_mixing``) are the gather factors of the factored transform
+Every doubling is built from its two halves in O(N^2): with the butterfly
+multiplied out, they are ``[T, T Ibar]`` and ``[B-hat T G-hat Ibar,
+-B-hat T G-hat]``, Ibar a column reversal, and the perfect shuffle gathers
+the rows.  A dyadic B-hat is a signed row gather and G-hat a column sign,
+applied to one int64 numerator array over a common shift or to a float
+seed; 'exact' takes B_N T G_N as one N x N float product.  The index,
+multiplier and sign arrays (``_mixing``) are the gather factors of
 ``P · bd(I, B-hat) · bd(T, T) · bd(I, G-hat) · Bf``, whose bd(T, T) is
 two copies of the level below, so no gather is expanded into an N x N
 matrix.  ``scale_to`` carries each level's dyadic matrix into the next
@@ -37,11 +37,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .catalog import orthogonalize
 from .exact import (
-    butterfly,
     counter_mixing,
     perfect_shuffle,
     signed_cosine_diagonal,
@@ -179,18 +177,21 @@ def _coerce_seed(t, base_cost) -> _Level:
     return _Level(None, None, arr)
 
 
+def _stack_halves(top: np.ndarray, low: np.ndarray, unshuffle) -> np.ndarray:
+    """P [[top, top Ibar], [low Ibar, -low]] with low = B-hat T G-hat, P as a row gather."""
+    halves = np.vstack([np.hstack([top, top[:, ::-1]]), np.hstack([low[:, ::-1], -low])])
+    return halves[unshuffle]
+
+
 def _double_dyadic(block: FactoredTransform, t: DyadicMatrix, mid: str):
     """One dyadic doubling: (index-built DyadicMatrix, its FactoredTransform)."""
     n = t.rows
-    unshuffle = perfect_shuffle(n).inverse().map  # P as a row gather
+    unshuffle = perfect_shuffle(n).inverse().map
     index, mult, b_shift, signs = _mixing(mid, n)
 
     num = t.numerators()
-    low = mult[:, None] * (num * signs)[index]  # B-hat T G-hat
-    halves = np.vstack(
-        [np.hstack([num, num[:, ::-1]]) << b_shift, np.hstack([low[:, ::-1], -low])]
-    )
-    dyadic = DyadicMatrix(halves[unshuffle], t.shift + b_shift)
+    low = mult[:, None] * (num * signs)[index]
+    dyadic = DyadicMatrix(_stack_halves(num << b_shift, low, unshuffle), t.shift + b_shift)
 
     ones = np.ones(n, dtype=np.int64)
     # the half-magnitude entry of methods III/VII (b_shift 1) is absorbed
@@ -215,18 +216,15 @@ def _double_dyadic(block: FactoredTransform, t: DyadicMatrix, mid: str):
 
 
 def _double_real(t: np.ndarray, mid: str) -> np.ndarray:
-    """One float doubling: the dense product of the five factors."""
+    """One float doubling from its halves; B-hat T G-hat is a signed row
+    gather of t for the dyadic methods and one N x N product for 'exact'."""
     n = t.shape[0]
-    b_hat, g_hat = method_blocks(mid, n)
-    bd = scipy.linalg.block_diag
-    eye = np.eye(n)
-    return (
-        perfect_shuffle(n).to_real()
-        @ bd(eye, as_real(b_hat))
-        @ bd(t, t)
-        @ bd(eye, as_real(g_hat))
-        @ butterfly(n).to_real()
-    )
+    if mid == "exact":
+        low = counter_mixing(n) @ t * np.diag(signed_cosine_diagonal(n))
+    else:
+        index, mult, b_shift, signs = _mixing(mid, n)
+        low = mult[:, None] * (t * signs)[index] * 0.5**b_shift
+    return _stack_halves(t, low, perfect_shuffle(n).inverse().map)
 
 
 def _double(seed: _Level, mid: str) -> _Level:
@@ -275,17 +273,17 @@ def scale_to(
     once, to the final size only; intermediate transforms stay raw (and
     dyadic, for dyadic seeds and methods), and each level's dyadic matrix
     seeds the next without being rebuilt from its factors.
+
+    Chained 'exact' loses about two float64 digits per level past 128 points
+    (B_N is a dense ±1 triangle): from C_8, the max-abs error vs C_N is
+    4e-14, 1e-12, 5e-11, 5e-9 and 1e-6 at N = 64, 128, 256, 512 and 1024.
     """
     level = _coerce_seed(t, base_cost)
     n = level.size
     if target < 2 * n:
         raise ValueError(f"target size {target} must be at least twice the seed size {n}")
-    levels = 0
-    size = n
-    while size < target:
-        size *= 2
-        levels += 1
-    if size != target:
+    levels = (int(target) // n).bit_length() - 1
+    if n << levels != target:
         raise ValueError(f"target size {target} is not the seed size times a power of two")
 
     if isinstance(method, str):

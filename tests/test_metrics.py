@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dctscale import catalog
 from dctscale.exact import TransformKind, transform_matrix
@@ -49,6 +50,11 @@ def test_signal_model_autocovariance():
     assert rx == pytest.approx(rx.T)
     assert np.all(np.linalg.eigvalsh(rx) > 0)
     assert rx[3, 1] == pytest.approx(0.25)
+    # the same values as scipy's symmetric Toeplitz matrix of rho^k
+    for n in (1, 5, 16, 1024):
+        for rho in (0.0, 0.5, 0.95):
+            want = scipy.linalg.toeplitz(rho ** np.arange(n))
+            assert np.array_equal(SignalModel(n, rho).autocovariance(), want)
 
 
 def test_metric_report_fields():

@@ -3,9 +3,11 @@
 Covers the published per-method error values for exact seeds, frozen
 recursion oracles, the II==III / VI==VII collapse after row rescaling, the
 Gram block structure, and the dyadic shift bound.  The index-built
-doubling is checked against the literal product of its five factors, and
-the cost recurrence, orthogonality and method-pair collapse are checked
-on random members and per-level chains up to N = 1024.
+doubling, and the float doubling of every method, are checked against the
+literal product of the five factors; the float64 error of a chained
+'exact' doubling is pinned.  The cost recurrence, orthogonality and
+method-pair collapse are checked on random members and per-level chains
+up to N = 1024.
 """
 from __future__ import annotations
 
@@ -350,17 +352,17 @@ def _five_factor_product(t: DyadicMatrix, method: str) -> DyadicMatrix:
     )
 
 
-def _five_factor_product_real(t: DyadicMatrix, method: str) -> np.ndarray:
-    """The same product in float64.  Every entry of the result is a single
+def _five_factor_product_real(t: np.ndarray, b_hat, g_hat) -> np.ndarray:
+    """The same product in float64, for a float seed and a (B-hat, G-hat)
+    pair.  For the dyadic blocks every entry of the result is a single
     signed, possibly halved, entry of t, so the float product is exact."""
-    n = t.rows
-    b_hat, g_hat = (m.to_real() for m in _reference_blocks(method, n))
-    tr, eye, bd = t.to_real(), np.eye(n), scipy.linalg.block_diag
+    n = len(t)
+    eye, bd = np.eye(n), scipy.linalg.block_diag
     return (
         perfect_shuffle(n).to_real()
-        @ bd(eye, b_hat)
-        @ bd(tr, tr)
-        @ bd(eye, g_hat)
+        @ bd(eye, as_real(b_hat))
+        @ bd(t, t)
+        @ bd(eye, as_real(g_hat))
         @ butterfly(n).to_real()
     )
 
@@ -399,10 +401,39 @@ def test_index_built_doubling_matches_five_factor_product(approx_id, chain):
         if doubled.rows <= _LITERAL_MAX:
             assert _same_representation(doubled, _five_factor_product(t, method))
         else:
-            assert np.array_equal(doubled.to_real(), _five_factor_product_real(t, method))
+            want = _five_factor_product_real(t.to_real(), *_reference_blocks(method, t.rows))
+            assert np.array_equal(doubled.to_real(), want)
         t = doubled
     # scale_to carries each level's matrix instead of rebuilding it
     assert _same_representation(scale_to(catalog.load(approx_id).matrix, t.rows, chain).dyadic, t)
+
+
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_float_doubling_matches_five_factor_product(method):
+    # a float seed is doubled from its two halves; the literal product of
+    # the five factors is the reference, exact for the dyadic methods
+    for n in (1, 2, 8, 64, 256):
+        c = transform_matrix(TransformKind.DCT2, n)
+        want = _five_factor_product_real(c, *method_blocks(method, n))
+        got = scale(c, method).dense
+        if method == "exact":
+            assert np.max(np.abs(got - want)) <= 1e-13, n
+        else:
+            assert np.array_equal(got, want), n
+
+
+# max-abs error of scale_to(C8, n, "exact").c_hat against C_n in float64;
+# B_N is a dense ±1 triangle, so the error grows about N/5-fold per level
+_EXACT_CHAIN_ERROR = {64: 3.9e-14, 128: 1.1e-12, 256: 5.1e-11, 512: 5.2e-9, 1024: 1.0e-6}
+
+
+@pytest.mark.parametrize("n", sorted(_EXACT_CHAIN_ERROR))
+def test_exact_chain_error_stays_pinned(n):
+    c_n = transform_matrix(TransformKind.DCT2, n)
+    assert np.max(np.abs(scale_to(C8, n, "exact").c_hat - c_n)) <= 10 * _EXACT_CHAIN_ERROR[n]
+    # one level from the exact half-size seed stays near machine precision
+    half = transform_matrix(TransformKind.DCT2, n // 2)
+    assert np.max(np.abs(scale(half, "exact").c_hat - c_n)) < 2e-13
 
 
 def test_scale_of_factored_seed_matches_scale_to(monkeypatch):
