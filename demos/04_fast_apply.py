@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Run the factored transform on data and count the arithmetic.
 
-The fast path compiles the factors once into a plan of stages and never
-multiplies by the doubled transform's dense matrix: the perfect shuffle
-and the sign-pattern mixing stages are gathers, stored as index and
-multiplier arrays, each butterfly is one add and one subtract, and the
-catalog blocks are one batched dense 8x8 product, the only matrix
-product left.  On integer input the plan runs in int64 numerators over one power-of-two
-shift and is exact.
+The fast path compiles the factors once into one flat list of stages and
+never multiplies by the doubled transform's dense matrix.  Each level's
+butterfly is one add and one subtract over all its blocks at once, with
+the alternating sign stage of methods IV-VII folded into it; the catalog
+blocks are one batched dense 8x8 product, the only matrix product left,
+which also takes in the mixing stages' multipliers; and one gather moves
+the rows into place.  On integer input the plan runs in int64 numerators
+over one power-of-two shift and is exact.
 """
 import numpy as np
 

@@ -16,21 +16,15 @@ an arithmetic-cost model where additions and shifts are counted per
 factor.  Any factor may carry a ``declared_cost`` in place of its counted
 one; a catalog leaf declares its published fast-algorithm count.
 
-Application runs a :class:`Plan`, compiled from the factors on first use
-and cached; building, scaling and costing never compile one.  Each stage
-acts on axis -2 of an ``(..., N, B)`` array: a gather factor is itself a
-plan stage, the butterfly is two slices added and subtracted, identical
-blocks run at once on a reshaped view, and a leaf is one dense numerator
-product over all its blocks.  The stages work on numerators, so the plan
-computes ``2**shift`` times the transform for one cumulative ``shift``.
-Its ``growth``, the product of the stages' largest row-L1 numerator
-norms, bounds every intermediate value: integer input with
-``max|x| * growth`` at or beyond 2**62 raises OverflowError before any
-int64 arithmetic, so the exact path never wraps.  Float input runs the
-same stages in float64 and is scaled by ``2**-shift`` once at the end.
+Application runs a :class:`Plan`, compiled on first use and cached: one flat
+list of numpy stages on the whole ``(..., N, B)`` array, each level's butterfly
+running once over all its blocks with the sign stage after it folded in.  The
+stages work on numerators: integer input stays exact in int64 (the ``growth``
+bound raises OverflowError before it could wrap), float input runs in float64.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -45,7 +39,6 @@ from .matkit import (
     DyadicMatrix,
     DyadicRational,
     aligned_numerators,
-    check_growth,
 )
 
 Cost = tuple[int, int]  # (additions, bit shifts)
@@ -240,23 +233,20 @@ class FactoredTransform:
 
 
 # -- the application engine ------------------------------------------------
-#
-# Every stage maps an (..., n, B) array to another along axis -2 and works on
-# numerators: a stage with shift s computes 2**s times its factor's output.
-# The exact path runs the stages in int64, the float path in float64.
 
 
 class _Gather:
-    """``y[i] = mult[i] * x[index[i]]`` over ``2**shift``: a permutation, or a
-    generalized permutation with integer multipliers.  A gather factor's
-    payload and its plan stage are the same object."""
+    """``y[i] = mult[i] * x[index[i]]`` over ``2**shift``, and on float input times
+    ``scale``.  A gather factor's payload and its plan stage are one object."""
 
-    def __init__(self, index, mult=None, shift: int = 0):
+    def __init__(self, index, mult=None, shift: int = 0, scale: float = 1.0):
         self.index = np.asarray(index, dtype=np.intp)
         self.unpermuted = bool(np.array_equal(self.index, np.arange(self.index.size)))
         mult = None if mult is None else np.asarray(mult, dtype=np.int64)
         self.mult = None if mult is None or np.all(mult == 1) else mult
         self._column = None if self.mult is None else self.mult[:, None]
+        scaled = self.mult is not None or scale != 1
+        self._real = self.multipliers()[:, None] * scale if scaled else None
         self.shift = shift
         self.norm = 1 if self.mult is None else int(np.abs(self.mult).max(initial=0))
 
@@ -286,9 +276,6 @@ class _Gather:
     def __hash__(self):
         return hash((self.index.tobytes(), self.multipliers().tobytes(), self.shift))
 
-    def is_identity(self) -> bool:
-        return self.unpermuted and self.mult is None and self.shift == 0
-
     def then(self, other: "_Gather") -> "_Gather":
         """One gather doing ``self`` first, then ``other``."""
         theirs = 1 if other.mult is None else other.mult
@@ -302,125 +289,165 @@ class _Gather:
         mult = None if self.mult is None else np.tile(self.mult, count)
         return _Gather(index, mult, self.shift)
 
-    def run(self, x: np.ndarray) -> np.ndarray:
-        if self.unpermuted:
-            return x if self._column is None else x * self._column
-        y = np.take(x, self.index, axis=-2)
-        if self._column is not None:
-            y *= self._column
-        return y
+    def run(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        column = self._real if x.dtype.kind == "f" else self._column
+        if out is None and not self.unpermuted:
+            x = out = x[..., self.index, :]
+        elif not self.unpermuted:
+            # "clip" skips the bounds check, done when built, and its copy of ``out``
+            x = np.take(x, self.index, axis=-2, out=out, mode="clip")
+        elif column is None:
+            return np.positive(x, out=out)  # a bare shift only copies
+        return x if column is None else np.multiply(x, column, out=out)
 
-    def lines(self) -> list[str]:
+    def __str__(self) -> str:
         n = self.index.size
         if self.mult is None:
-            return [f"gather {n}, shift {self.shift}"]
-        mults = ", ".join(str(m) for m in sorted(set(self.mult.tolist())))
+            return f"gather {n}, shift {self.shift}"
         verb = "scale" if self.unpermuted else "signed gather"
-        return [f"{verb} {n}, multipliers {{{mults}}}, shift {self.shift}"]
+        return f"{verb} {n}, multipliers {_set(self.mult)}, shift {self.shift}"
 
 
-class _Butterfly:
-    """``y = [x_top + reversed(x_bottom), reversed(x_top) - x_bottom]``."""
+class _BlockStage:
+    """A stage run on ``count`` equal blocks at once."""
+
+    def tiled(self, count: int) -> "_BlockStage":
+        tiled = copy.copy(self)  # the arrays are shared
+        tiled.count *= count
+        return tiled
+
+    def _on(self) -> str:
+        return f" on {self.count} blocks" if self.count > 1 else ""
+
+
+class _Butterfly(_BlockStage):
+    """On each block, ``y = [x_top + reversed(x_bottom), reversed(x_top) -
+    x_bottom]``.  A ``signed`` one also applies the sign stage bd(I, J) after
+    it: its lower half is ``rev(top) - bottom`` on even rows, else negated."""
 
     shift = 0
     norm = 2
 
-    def __init__(self, half: int):
-        self.half = half
+    def __init__(self, count: int, half: int, signed: bool = False):
+        self.count, self.half, self.signed = count, half, signed
+        # row indices, kept for one-column runs, where indexing costs as much
+        # as the arithmetic: the top half, then all of the lower half, or its
+        # even rows and its odd ones
+        h = half
+        self._top = np.s_[..., :h, :]
+        self._lower = np.s_[..., h::2, :] if signed else np.s_[..., h:, :]
+        self._odd = np.s_[..., h + 1 :: 2, :] if signed else None
 
-    def run(self, x: np.ndarray) -> np.ndarray:
-        h = self.half
-        rev = x[..., ::-1, :]
-        out = np.empty_like(x)
-        np.add(x[..., :h, :], rev[..., :h, :], out=out[..., :h, :])
-        np.subtract(rev[..., h:, :], x[..., h:, :], out=out[..., h:, :])
+    def folds(self, st) -> bool:
+        """Whether ``st`` is the sign stage that this butterfly can apply too."""
+        if self.signed or not isinstance(st, _Gather) or not st.unpermuted or st.shift:
+            return False
+        signs = np.concatenate([np.ones(self.half, np.int64), 1 - 2 * (np.arange(self.half) % 2)])
+        return np.array_equal(st.multipliers(), np.tile(signs, self.count))
+
+    def run(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        y = out = np.empty(x.shape, x.dtype) if out is None else out
+        if self.count > 1:
+            shape = x.shape[:-2] + (self.count, 2 * self.half, x.shape[-1])
+            x, y = x.reshape(shape), out.reshape(shape)
+        rev, top, lower, odd = x[..., ::-1, :], self._top, self._lower, self._odd
+        np.add(x[top], rev[top], out=y[top])
+        np.subtract(rev[lower], x[lower], out=y[lower])
+        if odd is not None:
+            np.subtract(x[odd], rev[odd], out=y[odd])
         return out
 
-    def lines(self) -> list[str]:
-        return [f"butterfly {2 * self.half}: add and subtract the halves"]
+    def __str__(self) -> str:
+        signs = ", odd lower rows negated" if self.signed else ""
+        return f"butterfly {2 * self.half}{self._on()}: add and subtract the halves{signs}"
 
 
-class _Dense:
-    """A dense numerator product ``num @ x`` over ``2**shift``."""
+class _Dense(_BlockStage):
+    """A dense numerator product ``num @ x`` over ``2**shift`` on each block,
+    times the multipliers of ``rows``, the gather after it, on output rows."""
 
-    def __init__(self, m: DyadicMatrix):
-        self.num = m.numerators()
-        self.num_real = self.num.astype(np.float64)
+    def __init__(self, m: DyadicMatrix, count: int = 1, rows: _Gather | None = None):
+        self.m, self.count, self.rows = m, count, rows
         self.shift = m.shift
         self.norm = m.row_norm()
+        self.num = m.numerators()
+        self.num_real = self.num.astype(np.float64)
+        if rows is not None:  # leaf row r goes to the gather's output inverse[r]
+            inverse = np.argsort(rows.index).reshape(count, -1, 1)
+            self.num = rows.multipliers()[inverse] * self.num
+            self.num_real = rows._real[inverse, 0] * self.num_real
 
-    def run(self, x: np.ndarray) -> np.ndarray:
-        return np.matmul(self.num_real if x.dtype.kind == "f" else self.num, x)
+    def run(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        shape = x.shape[:-2] + (self.count, self.m.rows, x.shape[-1])
+        num = self.num_real if x.dtype.kind == "f" else self.num
+        y = np.matmul(num, x.reshape(shape), out=None if out is None else out.reshape(shape))
+        return y.reshape(x.shape)
 
-    def lines(self) -> list[str]:
-        n = self.num.shape[0]
-        return [f"dense {n}x{n} product, shift {self.shift}"]
+    def __str__(self) -> str:
+        rows = "" if self.rows is None else f", row multipliers {_set(self.rows.multipliers())}"
+        return f"dense {self.m.rows}x{self.m.rows} product{self._on()}{rows}, shift {self.shift}"
 
 
-class _Blocks:
-    """``count`` identical diagonal blocks, run at once on a reshaped view."""
-
-    def __init__(self, count: int, plan: "Plan"):
-        self.count = count
-        self.plan = plan
-        self.shift = plan.shift
-        self.norm = plan.growth
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        shape = x.shape
-        split = shape[:-2] + (self.count, self.plan.size, shape[-1])
-        return self.plan.run(x.reshape(split)).reshape(shape)
-
-    def lines(self) -> list[str]:
-        head = f"{self.count} identical blocks of {self.plan.size}, one reshaped view:"
-        return [head] + ["  " + line for line in self.plan.lines()]
+def _set(values: np.ndarray) -> str:
+    return "{" + ", ".join(str(v) for v in sorted(set(values.tolist()))) + "}"
 
 
 def _compile(f: Factor) -> list:
-    """The stages of one factor, in application order."""
+    """The stages of one factor in application order; a block-diag's are tiled."""
     if f.kind is FactorKind.GATHER:
         return [f.payload]
     if f.kind is FactorKind.BUTTERFLY:
-        return [_Butterfly(f.size // 2)]
+        return [_Butterfly(1, f.size // 2)]
     if f.kind is FactorKind.BLOCK_DIAG:
-        return _blocks(f.size // f.payload.size, f.payload.plan)
+        return [st.tiled(f.size // f.payload.size) for st in f.payload.plan.stages]
     return [_Dense(f.payload)]
 
 
-def _blocks(count: int, plan: "Plan") -> list:
-    """Identical blocks, with the block plan's leading and trailing gathers
-    hoisted out and tiled, so that they fuse with the gathers around them."""
-    stages = list(plan.stages)
-    head = [stages.pop(0).tiled(count)] if stages and isinstance(stages[0], _Gather) else []
-    tail = [stages.pop().tiled(count)] if stages and isinstance(stages[-1], _Gather) else []
-    core = [_Blocks(count, Plan(plan.size, stages))] if stages else []
-    return head + core + tail
-
-
 def _fused(stages: list) -> list:
-    """Merge runs of gathers into one and drop identity gathers."""
+    """Merge runs of gathers, drop identities, fold sign gathers into butterflies."""
     out: list = []
     for st in stages:
-        # fused multipliers are int64 products, so only small ones are merged
-        if (
-            isinstance(st, _Gather)
-            and out
-            and isinstance(out[-1], _Gather)
-            and out[-1].norm * st.norm < 1 << NUMERATOR_BITS
-        ):
-            st = out.pop().then(st)
+        if isinstance(st, _Gather):
+            last = out[-1] if out else None
+            # fused multipliers are int64 products, so only small ones are merged
+            if isinstance(last, _Gather) and last.norm * st.norm < 1 << NUMERATOR_BITS:
+                st = out.pop().then(st)
+            if st.unpermuted and st.mult is None and not st.shift:
+                continue  # the identity
+            if out and isinstance(out[-1], _Butterfly) and out[-1].folds(st):
+                out[-1] = _Butterfly(out[-1].count, out[-1].half, signed=True)
+                continue
         out.append(st)
-    return [st for st in out if not (isinstance(st, _Gather) and st.is_identity())]
+    return out
+
+
+def _leaf_folded(stages: tuple) -> tuple:
+    """Move the multipliers of a permutation right after a leaf into the leaf's
+    rows, where they are powers of two, so that float products stay exact; the
+    gather then only moves rows.  An int64 product past 62 bits would need a
+    growth that only an all-zero input passes."""
+    out: list = []
+    for st in stages:
+        if isinstance(st, _Gather) and st._real is not None and out and isinstance(out[-1], _Dense):
+            mag = np.abs(st.multipliers())
+            powers = np.all((mag > 0) & (mag & (mag - 1) == 0))
+            if powers and np.array_equal(np.sort(st.index), np.arange(st.index.size)):
+                out[-1] = _Dense(out[-1].m, out[-1].count, st)
+                if st.unpermuted:
+                    continue
+                st = _Gather(st.index, None, st.shift)
+        out.append(st)
+    return tuple(out)
 
 
 class Plan:
-    """A factored transform compiled into flat numpy stages.
+    """A factored transform compiled into one flat list of numpy stages.
 
-    The stages compute ``2**shift`` times the transform, so every
-    intermediate value is an integer on integer input.  ``growth`` is the
-    product of the stages' largest row-L1 numerator norms: it bounds
-    ``max |output| / max |input|`` and every intermediate ratio, which is
-    what lets the exact path prove before it starts that int64 cannot wrap.
+    Each stage acts on the whole ``(..., N, B)`` array, as ``count`` blocks
+    inside a block-diag, and computes ``2**shift`` times its factor, so that
+    integer input stays integer.  ``growth``, the product of the stages'
+    largest row-L1 numerator norms, bounds ``max |output| / max |input|`` and
+    every intermediate ratio: the exact path proves with it that int64 cannot wrap.
     """
 
     def __init__(self, size: int, stages: list):
@@ -429,39 +456,53 @@ class Plan:
         self.shift = sum(st.shift for st in self.stages)
         self.growth = math.prod(max(1, st.norm) for st in self.stages)
 
+    @cached_property
+    def _executed(self) -> tuple:
+        """The stages as run, built on first use; on float input they also
+        multiply by 2**-shift, in the float multipliers of a last gather."""
+        stages = self.stages
+        if self.shift:
+            # where no gather ends the stages, one is appended; int input it only copies
+            last = _Gather(np.arange(self.size))
+            if isinstance(stages[-1], _Gather):
+                stages, last = stages[:-1], stages[-1]
+            stages += (_Gather(last.index, last.mult, last.shift, 2.0**-self.shift),)
+        return _leaf_folded(stages)
+
     def run(self, x: np.ndarray) -> np.ndarray:
-        """Numerators of the stages applied along axis -2 of ``x``."""
-        for st in self.stages:
-            x = st.run(x)
-        return x
+        """The stages along axis -2 of ``x`` (only read): numerators of int input,
+        values of float.  Wider input ping-pongs between two C-ordered arrays, so
+        every reshape is a view; one column is cheaper on each stage's own output."""
+        stages, wide = self._executed, x.shape[-1] > 1
+        buffers = [np.empty(x.shape, x.dtype) if wide else None for _ in stages[:2]]
+        for i, st in enumerate(stages):
+            x = st.run(x, buffers[i % 2])
+        return x if stages else x.copy()
 
     def apply_exact(self, x) -> list[DyadicRational]:
         """Exact image of one vector of ints or DyadicRationals."""
         if len(x) != self.size:
             raise ValueError(f"expected a vector of length {self.size}, got {len(x)}")
-        nums, shift = aligned_numerators(x)
-        check_growth(max(map(abs, nums), default=0), self.growth)
-        out = self.run(np.array(nums, dtype=np.int64)[:, None])
-        return DyadicRational.from_numerators(out[:, 0], shift + self.shift)
+        vec, shift = aligned_numerators(x, self.growth)
+        return DyadicRational.from_numerators(self.run(vec[:, None])[:, 0], shift + self.shift)
 
     def apply_batch(self, x: np.ndarray) -> DyadicMatrix:
         """Exact image of the columns of an (N, B) integer array."""
-        peak = max(int(x.max()), -int(x.min())) if x.size else 0
-        check_growth(peak, self.growth)
-        return DyadicMatrix(self.run(np.ascontiguousarray(x, dtype=np.int64)), self.shift)
+        return DyadicMatrix(self.run(aligned_numerators(x, self.growth)[0]), self.shift)
 
     def apply_real(self, x: np.ndarray) -> np.ndarray:
         """Float image of a vector, or of axis -2 of an (..., N, B) array."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return self.apply_real(x[:, None])[:, 0]
-        if x.ndim < 2 or x.shape[-2] != self.size:
+        x = np.asarray(x)
+        if x.dtype.kind == "c":
+            raise TypeError("complex input: apply the transform to its real and imaginary parts")
+        x = x.astype(np.float64, copy=False)
+        if x.ndim == 0 or x.shape[-min(x.ndim, 2)] != self.size:
             raise ValueError(f"expected {self.size} rows, got shape {x.shape}")
-        return self.run(x) * 2.0**-self.shift
+        return self.run(x[:, None])[:, 0] if x.ndim == 1 else self.run(x)
 
     def lines(self) -> list[str]:
         head = f"plan N={self.size}, shift {self.shift}, growth {self.growth}:"
-        return [head] + ["  " + line for st in self.stages for line in st.lines()]
+        return [head] + ["  " + str(st) for st in self._executed]
 
     def __str__(self) -> str:
         return "\n".join(self.lines())
@@ -470,26 +511,26 @@ class Plan:
 def apply(ft: FactoredTransform, x) -> list[DyadicRational] | DyadicMatrix | np.ndarray:
     """Apply the factored transform to a vector or to the columns of a batch.
 
-    Integer or dyadic-rational vectors run through the exact path and come
-    back as ``DyadicRational`` values; an (N, B) integer array comes back
-    as one ``DyadicMatrix``.  Anything else is evaluated in floating point.
-    Exact inputs whose worst-case image could exceed 62 bits raise
-    OverflowError.
+    Integer or dyadic-rational vectors come back exact, as ``DyadicRational``s,
+    and an (N, B) integer array as one ``DyadicMatrix``; exact images past 62
+    bits raise OverflowError, complex input TypeError.  The rest runs in float.
     """
     if isinstance(x, np.ndarray) and x.dtype.kind != "O":
         if x.ndim not in (1, 2) or x.shape[0] != ft.size:
             raise ValueError(f"expected shape ({ft.size},) or ({ft.size}, B), got {x.shape}")
         if x.dtype.kind not in "iu":
             return ft.apply_real(x)
-        if x.ndim == 2:
-            return ft.plan.apply_batch(x)
-        x = x.tolist()
-    values = list(x)
+        return ft.plan.apply_batch(x) if x.ndim == 2 else ft.apply_exact(x)
+    # a list of ints becomes an integer array in one numpy pass
+    values = np.asarray(x if isinstance(x, (list, tuple)) else list(x))
     if len(values) != ft.size:
         raise ValueError(f"expected a vector of length {ft.size}, got {len(values)}")
-    if all(isinstance(v, (int, np.integer, DyadicRational)) for v in values):
+    kind = values.dtype.kind
+    if kind == "O" and all(isinstance(v, (int, np.integer, DyadicRational)) for v in values):
+        kind = "i"
+    if values.ndim == 1 and kind in "iub":
         return ft.apply_exact(values)
-    return ft.apply_real(np.asarray(values, dtype=float))
+    return ft.apply_real(values.astype(float) if kind == "O" else values)
 
 
 def compose(a: FactoredTransform, b: FactoredTransform) -> FactoredTransform:

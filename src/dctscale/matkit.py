@@ -172,17 +172,30 @@ def canonical(num: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
     return num >> drop, shifts
 
 
-def aligned_numerators(values: Iterable) -> tuple[list[int], int]:
-    """Numerators of ints and DyadicRationals over their largest shift."""
-    values = list(values)
-    shifts = [v.shift for v in values if isinstance(v, DyadicRational)]
-    if not shifts:
-        return [int(v) for v in values], 0
-    shift = max(shifts)
-    return [
-        v.numerator << (shift - v.shift) if isinstance(v, DyadicRational) else int(v) << shift
-        for v in values
-    ], shift
+def aligned_numerators(values: Iterable, growth: int) -> tuple[np.ndarray, int]:
+    """int64 numerators of ints and DyadicRationals over their largest shift.
+
+    An integer vector converts in one numpy pass.  The largest numerator is
+    checked against ``growth`` by :func:`check_growth` before the int64
+    conversion, so no value wraps.  Other values raise TypeError.
+    """
+    arr = np.asarray(values)
+    shift = 0
+    if arr.dtype.kind == "O":
+        shift = max((v.shift for v in arr.tolist() if isinstance(v, DyadicRational)), default=0)
+        arr = np.array([_aligned(v, shift) for v in arr.tolist()], dtype=object)
+    elif arr.dtype.kind not in "iub":
+        raise TypeError(f"exact application takes ints and DyadicRationals, got {arr.dtype}")
+    check_growth(max(int(arr.max()), -int(arr.min())) if arr.size else 0, growth)
+    return arr.astype(np.int64, copy=False), shift
+
+
+def _aligned(v, shift: int) -> int:
+    if isinstance(v, DyadicRational):
+        return v.numerator << (shift - v.shift)
+    if isinstance(v, (int, np.integer)):
+        return int(v) << shift
+    raise TypeError(f"exact application takes ints and DyadicRationals, got {type(v).__name__}")
 
 
 def check_growth(peak: int, growth: int) -> None:
@@ -387,9 +400,7 @@ class DyadicMatrix:
         """
         if len(x) != self.cols:
             raise ValueError("vector length mismatch")
-        nums, shift = aligned_numerators(x)
-        check_growth(max(map(abs, nums), default=0), self.row_norm())
-        vec = np.array(nums, dtype=np.int64)
+        vec, shift = aligned_numerators(x, self.row_norm())
         return DyadicRational.from_numerators(self._num @ vec, self._shift + shift)
 
     def __repr__(self) -> str:

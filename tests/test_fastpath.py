@@ -351,7 +351,72 @@ def test_plan_is_lazy_and_cached():
     apply(ft, list(range(16)))
     assert ft.plan is vars(ft)["plan"]
     text = str(ft.plan)
-    assert "butterfly 16" in text and "dense 8x8" in text and "2 identical blocks of 8" in text
+    assert "butterfly 16" in text and "dense 8x8" in text and "dense 8x8 product on 2 blocks" in text
+
+
+def test_plan_is_flat_with_signs_folded_into_butterflies():
+    ft = scale_to(RDCT.matrix, 64, ("VII", "IV", "JAM")).factored
+    # one butterfly per level over all its blocks, the sign stages of IV and
+    # VII taken into theirs, then one leaf product that also takes the mixing
+    # multipliers, and one gather that only moves rows: no sign or scale pass
+    assert str(ft.plan).splitlines() == [
+        "plan N=64, shift 1, growth 128:",
+        "  butterfly 64: add and subtract the halves",
+        "  butterfly 32 on 2 blocks: add and subtract the halves, odd lower rows negated",
+        "  butterfly 16 on 4 blocks: add and subtract the halves, odd lower rows negated",
+        "  dense 8x8 product on 8 blocks, row multipliers {-2, -1, 2}, shift 0",
+        "  gather 64, shift 1",
+    ]
+    x = np.random.default_rng(5).normal(size=(64, 7))
+    assert np.allclose(apply(ft, x), ft.dense() @ x, rtol=0, atol=1e-9)
+
+
+def test_complex_input_raises_type_error():
+    ft = scale(RDCT.matrix, "VI").factored
+    for x in (np.ones(16, complex), np.ones((16, 3), complex), [1j] * 16):
+        with pytest.raises(TypeError, match="complex"):
+            apply(ft, x)
+    with pytest.raises(TypeError, match="complex"):
+        ft.factors[0].apply_real(np.ones(16, complex))
+
+
+_ALIAS_CASES = {
+    "scaled VII/IV": scale_to(SDCT.matrix, 32, ("VII", "IV")).factored,
+    "scaled JAM/III": scale_to(RDCT.matrix, 32, ("JAM", "III")).factored,
+    "shift-only gather": FactoredTransform(8, (Factor.gather(np.arange(8), None, shift=1),)),
+    "identity gather": FactoredTransform(8, (Factor.gather(np.arange(8)),)),
+    "butterfly": FactoredTransform(8, (Factor.butterfly(8),)),
+    "leaf": FactoredTransform(8, (Factor.leaf(RDCT.matrix),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ALIAS_CASES))
+def test_stages_never_write_into_or_return_the_input(name):
+    ft = _ALIAS_CASES[name]
+    n = ft.size
+    rng = np.random.default_rng(17)
+    inputs = (
+        rng.normal(size=(n, 5)),
+        rng.integers(-99, 99, size=(n, 5)),
+        rng.normal(size=n),
+        rng.integers(-99, 99, size=n),
+        rng.normal(size=(2, n, 3)),
+    )
+    for x in inputs:
+        kept = x.copy()
+        outs = [ft.plan.run(x if x.ndim > 1 else x[:, None])]
+        outs.append(ft.apply_real(x) if x.ndim == 3 else apply(ft, x))
+        assert np.array_equal(x, kept)
+        for out in outs:
+            if isinstance(out, DyadicMatrix):
+                out = out.numerators()
+            if isinstance(out, np.ndarray):
+                assert not np.shares_memory(out, x)
+        dense = ft.dense()
+        want = np.einsum("ij,...jb->...ib", dense, x) if x.ndim == 3 else dense @ x
+        got = outs[1] if x.ndim == 3 or x.dtype.kind == "f" else None
+        if got is not None:
+            assert np.allclose(got, want, rtol=0, atol=1e-9)
 
 
 # ── differential properties: engine against the dense exact product ───────
