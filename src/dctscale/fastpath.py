@@ -471,8 +471,8 @@ class Plan:
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """The stages along axis -2 of ``x`` (only read): numerators of int input,
-        values of float.  Wider input ping-pongs between two C-ordered arrays, so
-        every reshape is a view; one column is cheaper on each stage's own output."""
+        values of float.  Wider input ping-pongs between two arrays allocated
+        here; one column is cheaper on each stage's own fresh output."""
         stages, wide = self._executed, x.shape[-1] > 1
         buffers = [np.empty(x.shape, x.dtype) if wide else None for _ in stages[:2]]
         for i, st in enumerate(stages):
