@@ -473,11 +473,17 @@ class Plan:
         """The stages along axis -2 of ``x`` (only read): numerators of int input,
         values of float.  Wider input ping-pongs between two arrays allocated
         here; one column is cheaper on each stage's own fresh output."""
-        stages, wide = self._executed, x.shape[-1] > 1
-        buffers = [np.empty(x.shape, x.dtype) if wide else None for _ in stages[:2]]
+        stages = self._executed
+        if not stages:
+            return x.copy()
+        if x.shape[-1] == 1:
+            for st in stages:
+                x = st.run(x, None)
+            return x
+        buffers = (np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype))
         for i, st in enumerate(stages):
-            x = st.run(x, buffers[i % 2])
-        return x if stages else x.copy()
+            x = st.run(x, buffers[i & 1])
+        return x
 
     def apply_exact(self, x) -> list[DyadicRational]:
         """Exact image of one vector of ints or DyadicRationals."""
