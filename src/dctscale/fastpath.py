@@ -462,7 +462,7 @@ class Plan:
         multiply by 2**-shift, in the float multipliers of a last gather."""
         stages = self.stages
         if self.shift:
-            # where no gather ends the stages, one is appended; int input it only copies
+            # where no gather ends the stages, one is appended; on int input it only copies
             last = _Gather(np.arange(self.size))
             if isinstance(stages[-1], _Gather):
                 stages, last = stages[:-1], stages[-1]
@@ -502,9 +502,11 @@ class Plan:
         if x.dtype.kind == "c":
             raise TypeError("complex input: apply the transform to its real and imaginary parts")
         x = x.astype(np.float64, copy=False)
-        if x.ndim == 0 or x.shape[-min(x.ndim, 2)] != self.size:
+        if x.ndim == 1:
+            return self.apply_real(x[:, None])[:, 0]
+        if x.ndim < 2 or x.shape[-2] != self.size:
             raise ValueError(f"expected {self.size} rows, got shape {x.shape}")
-        return self.run(x[:, None])[:, 0] if x.ndim == 1 else self.run(x)
+        return self.run(x)
 
     def lines(self) -> list[str]:
         head = f"plan N={self.size}, shift {self.shift}, growth {self.growth}:"
