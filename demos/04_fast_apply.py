@@ -2,13 +2,15 @@
 """Run the factored transform on data and count the arithmetic.
 
 The fast path compiles the factors once into one flat list of stages and
-never multiplies by the doubled transform's dense matrix.  Each level's
-butterfly is one add and one subtract over all its blocks at once, with
-the alternating sign stage of methods IV-VII folded into it; the catalog
-blocks are one batched dense 8x8 product, the only matrix product left,
-which also takes in the mixing stages' multipliers; and one gather moves
-the rows into place.  On integer input the plan runs in int64 numerators
-over one power-of-two shift and is exact.
+never multiplies by the doubled transform's dense matrix.  One gather puts
+the rows in a pair order, in which each level's butterfly is one add and
+one subtract over contiguous halves of all its blocks at once; the
+alternating sign stage of methods IV-VII only flips signs in that order.
+The catalog blocks are one batched dense 8x8 product, the only matrix
+product left, which reads its columns in pair order and also takes in the
+mixing stages' multipliers; and one gather moves the rows into place.  On
+integer input the plan runs in int64 numerators over one power-of-two
+shift and is exact.
 """
 import numpy as np
 

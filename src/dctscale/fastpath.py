@@ -18,7 +18,13 @@ one; a catalog leaf declares its published fast-algorithm count.
 
 Application runs a :class:`Plan`, compiled on first use and cached: one flat
 list of numpy stages on the whole ``(..., N, B)`` array, each level's butterfly
-running once over all its blocks with the sign stage after it folded in.  The
+running once over all its blocks.  The rows run in a *pair order*, picked once
+by one gather in front of each run of butterflies, in which every butterfly
+finds the two rows it adds and subtracts half a block apart, so that each
+level is one add and one subtract over contiguous halves; as in Stockham's
+autosort FFT, no stage has to reorder the rows.  The plan tracks where each
+row sits as a signed permutation: the sign stages only change its signs, and
+the leaf takes it into its columns and the last gather into its index.  The
 stages work on numerators: integer input stays exact in int64 (the ``growth``
 bound raises OverflowError before it could wrap), float input runs in float64.
 """
@@ -42,6 +48,7 @@ from .matkit import (
 )
 
 Cost = tuple[int, int]  # (additions, bit shifts)
+_LONG_HALF = 1024  # values in a butterfly half from which blocks run one per call
 
 
 class FactorKind(Enum):
@@ -284,10 +291,8 @@ class _Gather:
 
     def tiled(self, count: int) -> "_Gather":
         """The same gather on each of ``count`` consecutive blocks."""
-        n = self.index.size
-        index = (np.arange(count)[:, None] * n + self.index).ravel()
         mult = None if self.mult is None else np.tile(self.mult, count)
-        return _Gather(index, mult, self.shift)
+        return _Gather(_tiled(self.index, count * self.index.size), mult, self.shift)
 
     def run(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         column = self._real if x.dtype.kind == "f" else self._column
@@ -321,61 +326,68 @@ class _BlockStage:
 
 
 class _Butterfly(_BlockStage):
-    """On each block, ``y = [x_top + reversed(x_bottom), reversed(x_top) -
-    x_bottom]``.  A ``signed`` one also applies the sign stage bd(I, J) after
-    it: its lower half is ``rev(top) - bottom`` on even rows, else negated."""
+    """The factor pairs rows ``i`` and ``2 * half - 1 - i`` of each block into
+    their sum, kept in the top row, and difference.  Run in pair order, where
+    those partners sit ``half`` rows apart, each block's top half ``t`` and
+    bottom half ``b`` become ``[t + b, t - b]``: one add and one subtract over
+    contiguous memory, for all blocks at once."""
 
     shift = 0
     norm = 2
 
-    def __init__(self, count: int, half: int, signed: bool = False):
-        self.count, self.half, self.signed = count, half, signed
-        # row indices, kept for one-column runs, where indexing costs as much
-        # as the arithmetic: the top half, then all of the lower half, or its
-        # even rows and its odd ones
-        h = half
-        self._top = np.s_[..., :h, :]
-        self._lower = np.s_[..., h::2, :] if signed else np.s_[..., h:, :]
-        self._odd = np.s_[..., h + 1 :: 2, :] if signed else None
-
-    def folds(self, st) -> bool:
-        """Whether ``st`` is the sign stage that this butterfly can apply too."""
-        if self.signed or not isinstance(st, _Gather) or not st.unpermuted or st.shift:
-            return False
-        signs = np.concatenate([np.ones(self.half, np.int64), 1 - 2 * (np.arange(self.half) % 2)])
-        return np.array_equal(st.multipliers(), np.tile(signs, self.count))
+    def __init__(self, count: int, half: int):
+        self.count, self.half = count, half
 
     def run(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        y = out = np.empty(x.shape, x.dtype) if out is None else out
-        if self.count > 1:
-            shape = x.shape[:-2] + (self.count, 2 * self.half, x.shape[-1])
-            x, y = x.reshape(shape), out.reshape(shape)
-        rev, top, lower, odd = x[..., ::-1, :], self._top, self._lower, self._odd
-        np.add(x[top], rev[top], out=y[top])
-        np.subtract(rev[lower], x[lower], out=y[lower])
-        if odd is not None:
-            np.subtract(x[odd], rev[odd], out=y[odd])
+        out = np.empty(x.shape, x.dtype) if out is None else out
+        half = self.half * x.shape[-1]
+        x, y = x.reshape(-1, 2, half), out.reshape(-1, 2, half)
+        # numpy's ufunc buffer copies strided operands whose rows are shorter
+        # than it, which doubles the cost of a multi-block call; long halves
+        # are cheaper one block per call
+        for b in range(len(x)) if len(x) > 1 and half >= _LONG_HALF else (slice(None),):
+            top, bottom = x[b, 0], x[b, 1]
+            np.add(top, bottom, out=y[b, 0])
+            np.subtract(top, bottom, out=y[b, 1])
         return out
 
     def __str__(self) -> str:
-        signs = ", odd lower rows negated" if self.signed else ""
-        return f"butterfly {2 * self.half}{self._on()}: add and subtract the halves{signs}"
+        return f"butterfly {2 * self.half}{self._on()}: add and subtract contiguous halves"
 
 
 class _Dense(_BlockStage):
-    """A dense numerator product ``num @ x`` over ``2**shift`` on each block,
-    times the multipliers of ``rows``, the gather after it, on output rows."""
+    """A dense numerator product ``num @ x`` over ``2**shift`` on each block.  As
+    run, a block may hold its own numerators: columns permuted and signed to
+    read its rows in pair order, and rows times the multipliers of the gather
+    after it."""
 
-    def __init__(self, m: DyadicMatrix, count: int = 1, rows: _Gather | None = None):
-        self.m, self.count, self.rows = m, count, rows
+    def __init__(self, m: DyadicMatrix, count: int = 1):
+        self.m, self.count = m, count
         self.shift = m.shift
         self.norm = m.row_norm()
         self.num = m.numerators()
         self.num_real = self.num.astype(np.float64)
-        if rows is not None:  # leaf row r goes to the gather's output inverse[r]
-            inverse = np.argsort(rows.index).reshape(count, -1, 1)
-            self.num = rows.multipliers()[inverse] * self.num
-            self.num_real = rows._real[inverse, 0] * self.num_real
+        self.paired, self.rows = False, None
+
+    def reading(self, layout: "_Layout") -> "_Dense":
+        """This product on blocks stored in ``layout``, each holding one block."""
+        m = self.m.rows
+        cols = (layout.row % m).reshape(self.count, 1, m)
+        signs = layout.sign.reshape(self.count, 1, m)
+        st = copy.copy(self)
+        st.num = self.num[np.arange(m)[:, None], cols] * signs
+        st.num_real = self.num_real[np.arange(m)[:, None], cols] * signs
+        st.paired = True
+        return st
+
+    def scaled_by(self, rows: _Gather) -> "_Dense":
+        """This product times the multipliers of ``rows``, the gather after it."""
+        inverse = np.argsort(rows.index).reshape(self.count, -1, 1)  # row r goes to inverse[r]
+        st = copy.copy(self)
+        st.num = rows.multipliers()[inverse] * self.num
+        st.num_real = rows._real[inverse, 0] * self.num_real
+        st.rows = rows
+        return st
 
     def run(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         shape = x.shape[:-2] + (self.count, self.m.rows, x.shape[-1])
@@ -384,8 +396,9 @@ class _Dense(_BlockStage):
         return y.reshape(x.shape)
 
     def __str__(self) -> str:
+        cols = ", columns in pair order" if self.paired else ""
         rows = "" if self.rows is None else f", row multipliers {_set(self.rows.multipliers())}"
-        return f"dense {self.m.rows}x{self.m.rows} product{self._on()}{rows}, shift {self.shift}"
+        return f"dense {self.m.rows}x{self.m.rows} product{self._on()}{cols}{rows}, shift {self.shift}"
 
 
 def _set(values: np.ndarray) -> str:
@@ -403,21 +416,148 @@ def _compile(f: Factor) -> list:
     return [_Dense(f.payload)]
 
 
+def _push_gather(out: list, g: _Gather) -> None:
+    """Append ``g`` to ``out``, merged into a gather that ends it; drop identities."""
+    # fused multipliers are int64 products, so only small ones are merged
+    if out and isinstance(out[-1], _Gather) and out[-1].norm * g.norm < 1 << NUMERATOR_BITS:
+        g = out.pop().then(g)
+    if not (g.unpermuted and g.mult is None and not g.shift):
+        out.append(g)
+
+
 def _fused(stages: list) -> list:
-    """Merge runs of gathers, drop identities, fold sign gathers into butterflies."""
+    """Merge runs of gathers and drop identities."""
     out: list = []
     for st in stages:
         if isinstance(st, _Gather):
-            last = out[-1] if out else None
-            # fused multipliers are int64 products, so only small ones are merged
-            if isinstance(last, _Gather) and last.norm * st.norm < 1 << NUMERATOR_BITS:
-                st = out.pop().then(st)
-            if st.unpermuted and st.mult is None and not st.shift:
-                continue  # the identity
-            if out and isinstance(out[-1], _Butterfly) and out[-1].folds(st):
-                out[-1] = _Butterfly(out[-1].count, out[-1].half, signed=True)
-                continue
+            _push_gather(out, st)
+        else:
+            out.append(st)
+    return out
+
+
+class _Layout:
+    """Where the rows of the data are stored as a plan runs: storage row ``p``
+    holds ``sign[p]`` times logical row ``row[p]``, a signed permutation."""
+
+    def __init__(self, row: np.ndarray, sign: np.ndarray | None = None):
+        self.row = row
+        self.sign = np.ones(row.size, np.int64) if sign is None else sign
+
+    def is_identity(self) -> bool:
+        return bool(np.all(self.sign == 1)) and np.array_equal(self.row, np.arange(self.row.size))
+
+    def gather_to(self, order: np.ndarray) -> _Gather:
+        """The gather that stores logical row ``order[q]`` in row ``q``, sign +1."""
+        where = np.empty_like(self.row)
+        where[self.row] = np.arange(self.row.size)
+        index = where[order]
+        return _Gather(index, self.sign[index])
+
+    def then(self, g: _Gather) -> "_Layout":
+        """The layout once the signed permutation ``g`` has acted, no row moved."""
+        row = np.argsort(g.index)[self.row]
+        return _Layout(row, self.sign * g.multipliers()[row])
+
+    def pairs(self, bf: _Butterfly) -> bool:
+        """Whether each pair of the butterfly sits ``half`` rows apart in one block."""
+        r = self.row.reshape(bf.count, 2, bf.half)
+        block = 2 * bf.half
+        top, bottom = r[:, 0], r[:, 1]
+        partners = (top // block == bottom // block) & (top % block + bottom % block == block - 1)
+        return bool(np.all(partners))
+
+    def after(self, bf: _Butterfly) -> "_Layout":
+        """The layout once ``bf`` has run: a pair's sum lands in its top row and its
+        difference in the bottom one, swapped where the pair's two signs differ."""
+        r = self.row.reshape(bf.count, 2, bf.half)
+        s = self.sign.reshape(bf.count, 2, bf.half)
+        low, high = r.min(axis=1), r.max(axis=1)
+        same = s[:, 0] == s[:, 1]
+        sum_sign = s[:, 0]
+        diff_sign = np.where(r[:, 0] == low, sum_sign, -sum_sign)
+        row = np.stack([np.where(same, low, high), np.where(same, high, low)], axis=1)
+        sign = np.stack([np.where(same, sum_sign, diff_sign), np.where(same, diff_sign, sum_sign)], axis=1)
+        return _Layout(row.ravel(), sign.ravel())
+
+    def holds_blocks(self, size: int) -> bool:
+        """Whether each storage block of ``size`` rows holds one logical block."""
+        block = self.row.reshape(-1, size) // size
+        return bool(np.all(block == block[:, :1]))
+
+    def after_blocks(self, size: int) -> "_Layout":
+        """The layout of a block product's output: its blocks where it read them."""
+        first = self.row.reshape(-1, size)[:, :1] // size * size
+        return _Layout((first + np.arange(size)).ravel())
+
+
+def _is_signed_permutation(g: _Gather) -> bool:
+    return (
+        not g.shift
+        and g.norm == 1
+        and bool(np.all(g.multipliers() != 0))
+        and np.array_equal(np.sort(g.index), np.arange(g.index.size))
+    )
+
+
+def _pair_order(stages: tuple, size: int) -> np.ndarray:
+    """The input order for the butterflies of ``stages``, the first one first.
+
+    A block of ``2h`` rows is stored as ``inner ++ (2h - 1 - inner)``, which
+    puts the first butterfly's partners ``h`` apart; ``inner`` is the order of
+    the next butterfly's blocks tiled over ``h`` rows, or the identity where
+    they do not tile it.  A sign stage only swaps a pair's sum and difference,
+    and :class:`_Layout` checks every level.
+    """
+    halves = [st.half for st in stages if isinstance(st, _Butterfly)]
+    order = np.arange(halves[-1])
+    for h in reversed(halves):
+        inner = _tiled(order, h) if h % order.size == 0 else np.arange(h)
+        order = np.concatenate([inner, 2 * h - 1 - inner])
+    return _tiled(order, size)
+
+
+def _tiled(order: np.ndarray, size: int) -> np.ndarray:
+    """``order`` on each of the consecutive blocks of ``size`` rows."""
+    return (np.arange(size // order.size)[:, None] * order.size + order).ravel()
+
+
+def _paired(stages: tuple, size: int) -> list:
+    """The stages rewritten to run in pair order.
+
+    A signed-permutation gather only changes the layout.  A butterfly whose
+    pairs the layout does not hold half a block apart gets a gather to the
+    pair order of the run it starts; a leaf takes the layout into its
+    columns where each storage block holds one of its blocks; every other
+    gather, and the end of the plan, take the layout into their index.
+    """
+    out: list = []
+    layout = _Layout(np.arange(size))
+
+    def settle(order: np.ndarray) -> _Layout:
+        _push_gather(out, layout.gather_to(order))
+        return _Layout(order)
+
+    for k, st in enumerate(stages):
+        if isinstance(st, _Butterfly):
+            if not layout.pairs(st):
+                layout = settle(_pair_order(stages[k:], size))
+            layout = layout.after(st)
+        elif isinstance(st, _Dense):
+            if not layout.holds_blocks(st.m.rows):
+                layout = settle(np.arange(size))
+            if not layout.is_identity():
+                st = st.reading(layout)
+                layout = layout.after_blocks(st.m.rows)
+        elif _is_signed_permutation(st):
+            layout = layout.then(st)
+            continue
+        else:
+            layout = settle(np.arange(size))
+            _push_gather(out, st)
+            continue
         out.append(st)
+    settle(np.arange(size))
     return out
 
 
@@ -432,7 +572,7 @@ def _leaf_folded(stages: tuple) -> tuple:
             mag = np.abs(st.multipliers())
             powers = np.all((mag > 0) & (mag & (mag - 1) == 0))
             if powers and np.array_equal(np.sort(st.index), np.arange(st.index.size)):
-                out[-1] = _Dense(out[-1].m, out[-1].count, st)
+                out[-1] = out[-1].scaled_by(st)
                 if st.unpermuted:
                     continue
                 st = _Gather(st.index, None, st.shift)
@@ -448,6 +588,12 @@ class Plan:
     integer input stays integer.  ``growth``, the product of the stages'
     largest row-L1 numerator norms, bounds ``max |output| / max |input|`` and
     every intermediate ratio: the exact path proves with it that int64 cannot wrap.
+
+    ``stages`` are in the factors' row order; they are tiled into the plans
+    of enclosing block-diags, and ``shift`` and ``growth`` are theirs.  The
+    stages as run keep the rows in pair order (:func:`_paired`), which moves
+    rows and flips signs only, so row norms, and with them ``growth``, are
+    the same.
     """
 
     def __init__(self, size: int, stages: list):
@@ -460,11 +606,11 @@ class Plan:
     def _executed(self) -> tuple:
         """The stages as run, built on first use; on float input they also
         multiply by 2**-shift, in the float multipliers of a last gather."""
-        stages = self.stages
+        stages = tuple(_paired(self.stages, self.size))
         if self.shift:
             # where no gather ends the stages, one is appended; on int input it only copies
             last = _Gather(np.arange(self.size))
-            if isinstance(stages[-1], _Gather):
+            if stages and isinstance(stages[-1], _Gather):
                 stages, last = stages[:-1], stages[-1]
             stages += (_Gather(last.index, last.mult, last.shift, 2.0**-self.shift),)
         return _leaf_folded(stages)
@@ -519,14 +665,14 @@ class Plan:
 def apply(ft: FactoredTransform, x) -> list[DyadicRational] | DyadicMatrix | np.ndarray:
     """Apply the factored transform to a vector or to the columns of a batch.
 
-    Integer or dyadic-rational vectors come back exact, as ``DyadicRational``s,
-    and an (N, B) integer array as one ``DyadicMatrix``; exact images past 62
+    Integer, bool or dyadic-rational vectors come back exact, as ``DyadicRational``s,
+    and an (N, B) integer or bool array as one ``DyadicMatrix``; exact images past 62
     bits raise OverflowError, complex input TypeError.  The rest runs in float.
     """
     if isinstance(x, np.ndarray) and x.dtype.kind != "O":
         if x.ndim not in (1, 2) or x.shape[0] != ft.size:
             raise ValueError(f"expected shape ({ft.size},) or ({ft.size}, B), got {x.shape}")
-        if x.dtype.kind not in "iu":
+        if x.dtype.kind not in "iub":
             return ft.apply_real(x)
         return ft.plan.apply_batch(x) if x.ndim == 2 else ft.apply_exact(x)
     # a list of ints becomes an integer array in one numpy pass

@@ -10,6 +10,8 @@ of the compiled plan up to N = 256.
 from __future__ import annotations
 
 import functools
+import hashlib
+import itertools
 import json
 import operator
 
@@ -351,20 +353,24 @@ def test_plan_is_lazy_and_cached():
     apply(ft, list(range(16)))
     assert ft.plan is vars(ft)["plan"]
     text = str(ft.plan)
-    assert "butterfly 16" in text and "dense 8x8" in text and "dense 8x8 product on 2 blocks" in text
+    assert "butterfly 16: add and subtract contiguous halves" in text
+    assert "dense 8x8 product on 2 blocks, columns in pair order" in text
 
 
 def test_plan_is_flat_with_signs_folded_into_butterflies():
     ft = scale_to(RDCT.matrix, 64, ("VII", "IV", "JAM")).factored
-    # one butterfly per level over all its blocks, the sign stages of IV and
-    # VII taken into theirs, then one leaf product that also takes the mixing
-    # multipliers, and one gather that only moves rows: no sign or scale pass
+    # one gather into pair order, then one butterfly per level over all its
+    # blocks, the sign stages of IV and VII taken into the layout, then one
+    # leaf product that reads its columns in pair order and also takes the
+    # mixing multipliers, and one gather that only moves rows: no sign or
+    # scale pass
     assert str(ft.plan).splitlines() == [
         "plan N=64, shift 1, growth 128:",
-        "  butterfly 64: add and subtract the halves",
-        "  butterfly 32 on 2 blocks: add and subtract the halves, odd lower rows negated",
-        "  butterfly 16 on 4 blocks: add and subtract the halves, odd lower rows negated",
-        "  dense 8x8 product on 8 blocks, row multipliers {-2, -1, 2}, shift 0",
+        "  gather 64, shift 0",
+        "  butterfly 64: add and subtract contiguous halves",
+        "  butterfly 32 on 2 blocks: add and subtract contiguous halves",
+        "  butterfly 16 on 4 blocks: add and subtract contiguous halves",
+        "  dense 8x8 product on 8 blocks, columns in pair order, row multipliers {-2, -1, 2}, shift 0",
         "  gather 64, shift 1",
     ]
     x = np.random.default_rng(5).normal(size=(64, 7))
@@ -390,6 +396,20 @@ def test_complex_input_raises_type_error():
             apply(ft, x)
     with pytest.raises(TypeError, match="complex"):
         ft.factors[0].apply_real(np.ones(16, complex))
+
+
+def test_bool_array_takes_the_exact_path_like_a_list():
+    scaled = scale_to(RDCT.matrix, 32, ("VII", "II"))
+    ft, num, shift = scaled.factored, scaled.dyadic.numerators(), scaled.dyadic.shift
+    bits = np.array([True, False, False, True] * 8)
+    from_array, from_list = apply(ft, bits), apply(ft, bits.tolist())
+    assert all(isinstance(v, DyadicRational) for v in from_array)
+    assert from_array == from_list == _dense_exact(num, shift, bits.astype(int).tolist())
+    batch = np.stack([bits, ~bits, bits[::-1]], axis=1)
+    out = apply(ft, batch)
+    assert isinstance(out, DyadicMatrix)
+    assert out == scaled.dyadic @ DyadicMatrix(batch.astype(np.int64))
+    assert [row[0] for row in out.entries()] == from_list
 
 
 _ALIAS_CASES = {
@@ -527,6 +547,117 @@ def test_engine_heterogeneous_block_diag(members, levels, data):
     xf = np.random.default_rng(len(x)).normal(size=(n, 3))
     want = whole.to_real() @ xf
     assert np.max(np.abs(apply(ft, xf) - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+# ── pair order: every butterfly on contiguous halves ──────────────────────
+
+
+def _skeleton(signed: tuple[bool, ...]) -> FactoredTransform:
+    """The doubling's factor structure over an rdct leaf, with the sign stage
+    bd(I, J) at the levels that ``signed`` marks, outermost first."""
+    ft = FactoredTransform(8, (Factor.leaf(RDCT.matrix),))
+    for sign in reversed(signed):
+        h = ft.size
+        factors = [Factor.block_diag(ft, 2)]
+        if sign:
+            factors.append(Factor.gather(np.arange(2 * h), np.r_[np.ones(h), (-1) ** np.arange(h)]))
+        ft = FactoredTransform(2 * h, (*factors, Factor.butterfly(2 * h)))
+    return ft
+
+
+@pytest.mark.parametrize("levels", range(1, 8))
+def test_pair_order_holds_every_level(levels):
+    # for every signed/unsigned level pattern at N = 16 ... 1024, the input
+    # order puts each butterfly's partners half a block apart at every level,
+    # and each storage block of 8 holds one leaf block: the plan runs one
+    # gather, the butterflies and the leaf with no gather between them
+    from dctscale.fastpath import _Butterfly, _Dense, _Layout, _pair_order
+
+    n = 8 << levels
+    for signed in itertools.product((False, True), repeat=levels):
+        ft = _skeleton(signed)
+        stages = ft.plan.stages
+        layout = _Layout(_pair_order(stages, n))
+        halves = []
+        for st in stages:
+            if isinstance(st, _Butterfly):
+                assert layout.pairs(st)
+                halves.append(st.half)
+                layout = layout.after(st)
+            elif isinstance(st, _Dense):
+                assert layout.holds_blocks(8)
+            else:
+                layout = layout.then(st)
+        assert halves == [n >> k for k in range(1, levels + 1)]
+        lines = ft.plan.lines()[1:]
+        kinds = [line.split()[0] for line in lines]
+        # a gather ends the plan only where the leaf blocks lie out of order
+        assert kinds[: levels + 2] == ["gather"] + ["butterfly"] * levels + ["dense"]
+        assert kinds[levels + 2 :] in ([], ["gather"])
+        assert "columns in pair order" in lines[levels + 1]
+        if n <= 64:
+            x = np.random.default_rng(n).integers(-99, 99, size=(n, 3))
+            assert apply(ft, x) == ft.dyadic() @ DyadicMatrix(x)
+
+
+def _pair_order_cases():
+    for approx in catalog.APPROXIMATION_IDS:
+        for method in DYADIC_METHOD_IDS:
+            for size in (16, 32, 64):
+                yield approx, (method,) * (size.bit_length() - 4)
+    for approx in ("rdct", "bas2"):
+        for size in (128, 256, 1024):
+            levels = size.bit_length() - 4
+            yield approx, tuple(DYADIC_METHOD_IDS[(3 * k + len(approx)) % 8] for k in range(levels))
+
+
+def test_pair_order_plans_match_the_dense_product():
+    # every member and method at 16/32/64 plus mixed rdct and bas2 chains up
+    # to 1024: exact (N, B) and one-vector int outputs equal the dense exact
+    # product, float (N, 64) and one-vector outputs the dense float product,
+    # and the plan headers (shift and growth) hash to the values captured
+    # before the pair order
+    rng = np.random.default_rng(2024)
+    headers = []
+    for approx, chain in _pair_order_cases():
+        scaled = _built(approx, chain)
+        ft, n = scaled.factored, scaled.size
+        headers.append(f"{approx} {'/'.join(chain)} {ft.plan.lines()[0]}")
+        bound = min(999, ((1 << 62) - 1) // ft.plan.growth)
+        x = rng.integers(-bound, bound + 1, size=(n, 5))
+        assert apply(ft, x) == scaled.dyadic @ DyadicMatrix(x)
+        num, shift = scaled.dyadic.numerators(), scaled.dyadic.shift
+        assert apply(ft, x[:, 0]) == _dense_exact(num, shift, x[:, 0].tolist())
+        for xf in (rng.normal(size=(n, 64)), rng.normal(size=n)):
+            want = scaled.dense @ xf
+            assert np.max(np.abs(apply(ft, xf) - want)) <= 1e-9 * np.max(np.abs(want))
+    digest = hashlib.sha256("\n".join(headers).encode()).hexdigest()
+    assert len(headers) == 246
+    assert digest == "94d68a4e180617901f8f63e7e673b95779eb93ea09816cb5e0844c85ed375c1c"
+
+
+@pytest.mark.parametrize(
+    "ft",
+    [
+        FactoredTransform(8, (Factor.butterfly(8),)),
+        FactoredTransform(6, (Factor.butterfly(6),)),
+        FactoredTransform(2, (Factor.butterfly(2),)),
+        FactoredTransform(16, (Factor.butterfly(16), Factor.butterfly(16))),
+        compose(scale(RDCT.matrix, "JAM").factored, scale(SDCT.matrix, "VI").factored),
+        compose(_skeleton((True, False)), FactoredTransform(32, (Factor.butterfly(32),))),
+    ],
+    ids=["butterfly 8", "butterfly 6", "butterfly 2", "two butterflies", "composed", "skeleton·butterfly"],
+)
+def test_pair_order_on_lone_and_composed_butterflies(ft):
+    # where no leaf follows, a gather takes the layout in; where one run's
+    # layout does not pair the next butterfly, a gather between them does
+    n = ft.size
+    rng = np.random.default_rng(n)
+    x = rng.integers(-999, 999, size=(n, 4))
+    assert apply(ft, x) == ft.dyadic() @ DyadicMatrix(x)
+    assert apply(ft, x[:, 1]) == _dense_exact(ft.dyadic().numerators(), ft.dyadic().shift, x[:, 1].tolist())
+    xf = rng.normal(size=(n, 64))
+    assert np.allclose(apply(ft, xf), ft.dense() @ xf, rtol=0, atol=1e-9)
 
 
 # ── composition ────────────────────────────────────────────────────────────
