@@ -32,6 +32,10 @@ from dctscale.fastpath import (
     Factor,
     FactoredTransform,
     FactorKind,
+    _Butterfly,
+    _Dense,
+    _Layout,
+    _pair_order,
     apply,
     compose,
     count_dense_dyadic,
@@ -571,8 +575,6 @@ def test_pair_order_holds_every_level(levels):
     # order puts each butterfly's partners half a block apart at every level,
     # and each storage block of 8 holds one leaf block: the plan runs one
     # gather, the butterflies and the leaf with no gather between them
-    from dctscale.fastpath import _Butterfly, _Dense, _Layout, _pair_order
-
     n = 8 << levels
     for signed in itertools.product((False, True), repeat=levels):
         ft = _skeleton(signed)
@@ -595,9 +597,19 @@ def test_pair_order_holds_every_level(levels):
         assert kinds[: levels + 2] == ["gather"] + ["butterfly"] * levels + ["dense"]
         assert kinds[levels + 2 :] in ([], ["gather"])
         assert "columns in pair order" in lines[levels + 1]
-        if n <= 64:
-            x = np.random.default_rng(n).integers(-99, 99, size=(n, 3))
-            assert apply(ft, x) == ft.dyadic() @ DyadicMatrix(x)
+        x = np.random.default_rng(n).integers(-99, 99, size=(n, 3))
+        assert np.array_equal(ft.plan.run(x), _skeleton_product(signed, x))
+
+
+def _skeleton_product(signed: tuple[bool, ...], x: np.ndarray) -> np.ndarray:
+    """``_skeleton(signed)`` applied level by level in row order, without a plan."""
+    if not signed:
+        return RDCT.matrix.numerators() @ x
+    h = len(x) // 2
+    y = np.concatenate([x[:h] + x[::-1][:h], x[:h][::-1] - x[h:]])
+    if signed[0]:
+        y[h + 1 :: 2] *= -1
+    return np.concatenate([_skeleton_product(signed[1:], y[:h]), _skeleton_product(signed[1:], y[h:])])
 
 
 def _pair_order_cases():
