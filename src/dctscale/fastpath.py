@@ -48,7 +48,6 @@ from .matkit import (
 )
 
 Cost = tuple[int, int]  # (additions, bit shifts)
-_LONG_HALF = 1024  # values in a butterfly half from which blocks run one per call
 
 
 class FactorKind(Enum):
@@ -341,14 +340,10 @@ class _Butterfly(_BlockStage):
     def run(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         out = np.empty(x.shape, x.dtype) if out is None else out
         half = self.half * x.shape[-1]
-        x, y = x.reshape(-1, 2, half), out.reshape(-1, 2, half)
-        # numpy's ufunc buffer copies strided operands whose rows are shorter
-        # than it, which doubles the cost of a multi-block call; long halves
-        # are cheaper one block per call
-        for b in range(len(x)) if len(x) > 1 and half >= _LONG_HALF else (slice(None),):
-            top, bottom = x[b, 0], x[b, 1]
-            np.add(top, bottom, out=y[b, 0])
-            np.subtract(top, bottom, out=y[b, 1])
+        shape = (math.prod(x.shape[:-1]) // (2 * self.half), 2, half)  # B may be 0
+        x, y = x.reshape(shape), out.reshape(shape)
+        np.add(x[:, 0], x[:, 1], out=y[:, 0])
+        np.subtract(x[:, 0], x[:, 1], out=y[:, 1])
         return out
 
     def __str__(self) -> str:

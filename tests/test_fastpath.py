@@ -433,7 +433,8 @@ def test_stages_never_write_into_or_return_the_input(name):
     dense = ft.dense()
     rng = np.random.default_rng(17)
     # the stages reshape their buffers, so inputs in other memory layouts are
-    # included: Fortran order, strided columns and one column under a batch axis
+    # included: Fortran order, strided columns, one column under a batch axis
+    # and empty batches
     inputs = (
         rng.normal(size=(n, 5)),
         rng.integers(-99, 99, size=(n, 5)),
@@ -444,6 +445,9 @@ def test_stages_never_write_into_or_return_the_input(name):
         np.asfortranarray(rng.normal(size=(n, 4))),
         np.asfortranarray(rng.integers(-99, 99, size=(n, 4))),
         rng.normal(size=(n, 6))[:, ::2],
+        np.zeros((n, 0)),
+        np.zeros((n, 0), dtype=np.int64),
+        np.zeros((2, n, 0)),
     )
     for x in inputs:
         kept = x.copy()
