@@ -6,9 +6,11 @@ never multiplies by the doubled transform's dense matrix.  One gather puts
 the rows in a pair order, in which each level's butterfly is one add and
 one subtract over contiguous halves of all its blocks at once; the
 alternating sign stage of methods IV-VII only flips signs in that order.
-The catalog blocks are one batched dense 8x8 product, the only matrix
-product left, which reads its columns in pair order and also takes in the
-mixing stages' multipliers; and one gather moves the rows into place.  On
+Up to four levels together are one product with a +-1 Hadamard matrix,
+run as one matmul on float input.  The catalog blocks are one batched
+dense 8x8 product, which reads its columns in pair order and also takes
+in the mixing stages' multipliers; and one gather moves the rows into
+place.  On
 integer input the plan runs in int64 numerators over one power-of-two
 shift and is exact.
 """

@@ -22,11 +22,14 @@ running once over all its blocks.  The rows run in a *pair order*, picked once
 by one gather in front of each run of butterflies, in which every butterfly
 finds the two rows it adds and subtracts half a block apart, so that each
 level is one add and one subtract over contiguous halves; as in Stockham's
-autosort FFT, no stage has to reorder the rows.  The plan tracks where each
-row sits as a signed permutation: the sign stages only change its signs, and
-the leaf takes it into its columns and the last gather into its index.  The
-stages work on numerators: integer input stays exact in int64 (the ``growth``
-bound raises OverflowError before it could wrap), float input runs in float64.
+autosort FFT, no stage has to reorder the rows.  In that order up to four
+consecutive levels are one product with a ±1 Hadamard matrix, one BLAS call
+on float input where numpy would make a pass over the data per add and per
+subtract.  The plan tracks where each row sits as a signed permutation: the
+sign stages only change its signs, and the leaf takes it into its columns and
+the last gather into its index.  The stages work on numerators: integer input
+stays exact in int64 (the ``growth`` bound raises OverflowError before it
+could wrap), float input runs in float64.
 """
 from __future__ import annotations
 
@@ -48,6 +51,7 @@ from .matkit import (
 )
 
 Cost = tuple[int, int]  # (additions, bit shifts)
+_LEVELS = 4  # most butterfly levels run as one product: 2**levels multiply-adds a value
 
 
 class FactorKind(Enum):
@@ -325,29 +329,58 @@ class _BlockStage:
 
 
 class _Butterfly(_BlockStage):
-    """The factor pairs rows ``i`` and ``2 * half - 1 - i`` of each block into
-    their sum, kept in the top row, and difference.  Run in pair order, where
-    those partners sit ``half`` rows apart, each block's top half ``t`` and
-    bottom half ``b`` become ``[t + b, t - b]``: one add and one subtract over
-    contiguous memory, for all blocks at once."""
+    """``levels`` butterfly levels, the first on ``count`` blocks of ``2 * half``
+    rows.  A level pairs rows ``i`` and ``2h - 1 - i`` of each of its blocks
+    into their sum, kept in the top row, and difference.  Run in pair order,
+    where those partners sit ``h`` rows apart, a level turns each block's top
+    half ``t`` and bottom half ``b`` into ``[t + b, t - b]``, so the levels
+    together are the ±1 Hadamard matrix of ``2**levels`` rows acting on each
+    first block cut into that many contiguous slices.  Float input, and one
+    column, run as one matmul with that matrix; wider integer input runs level
+    by level, one add and one subtract each, as numpy's integer matmul has no
+    BLAS."""
 
     shift = 0
-    norm = 2
 
-    def __init__(self, count: int, half: int):
-        self.count, self.half = count, half
+    def __init__(self, count: int, half: int, levels: int = 1):
+        self.count, self.half, self.levels = count, half, levels
+        self.norm = 2**levels
+        h = np.ones((1, 1), np.int64)
+        for _ in range(levels):
+            h = np.block([[h, h], [h, -h]])
+        self.hadamard, self.hadamard_real = h, h.astype(np.float64)
+
+    def then(self, bf: "_Butterfly") -> "_Butterfly | None":
+        """``self`` and then ``bf`` as one stage, where ``bf`` is the level below
+        its last and the run stays short enough to gain from one product."""
+        below = bf.count == self.count << self.levels and bf.half << self.levels == self.half
+        return _Butterfly(self.count, self.half, self.levels + 1) if below and self.levels < _LEVELS else None
 
     def run(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         out = np.empty(x.shape, x.dtype) if out is None else out
-        half = self.half * x.shape[-1]
-        shape = (math.prod(x.shape[:-1]) // (2 * self.half), 2, half)  # B may be 0
-        x, y = x.reshape(shape), out.reshape(shape)
-        np.add(x[:, 0], x[:, 1], out=y[:, 0])
-        np.subtract(x[:, 0], x[:, 1], out=y[:, 1])
+        rows, cols = math.prod(x.shape[:-1]), x.shape[-1]  # explicit shapes: B may be 0
+        if x.dtype.kind == "f" or cols == 1:
+            k = 1 << self.levels
+            shape = (rows // (2 * self.half), k, 2 * self.half // k * cols)
+            h = self.hadamard_real if x.dtype.kind == "f" else self.hadamard
+            np.matmul(h, x.reshape(shape), out=out.reshape(shape))
+            return out
+        buffers = (out, np.empty_like(out)) if self.levels % 2 else (np.empty_like(out), out)
+        for i in range(self.levels):  # the last level writes ``out``
+            half = self.half >> i
+            shape = (rows // (2 * half), 2, half * cols)
+            a, y = x.reshape(shape), buffers[i % 2].reshape(shape)
+            np.add(a[:, 0], a[:, 1], out=y[:, 0])
+            np.subtract(a[:, 0], a[:, 1], out=y[:, 1])
+            x = buffers[i % 2]
         return out
 
     def __str__(self) -> str:
-        return f"butterfly {2 * self.half}{self._on()}: add and subtract contiguous halves"
+        size = 2 * self.half
+        if self.levels == 1:
+            return f"butterfly {size}{self._on()}: add and subtract contiguous halves"
+        last = size >> (self.levels - 1)
+        return f"butterflies {size} to {last}{self._on()}: one ±1 product of {1 << self.levels} rows"
 
 
 class _Dense(_BlockStage):
@@ -538,6 +571,10 @@ def _paired(stages: tuple, size: int) -> list:
             if not layout.pairs(st):
                 layout = settle(_pair_order(stages[k:], size))
             layout = layout.after(st)
+            run = out[-1].then(st) if out and isinstance(out[-1], _Butterfly) else None
+            if run:
+                out[-1] = run
+                continue
         elif isinstance(st, _Dense):
             if not layout.holds_blocks(st.m.rows):
                 layout = settle(np.arange(size))

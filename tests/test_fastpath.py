@@ -363,17 +363,15 @@ def test_plan_is_lazy_and_cached():
 
 def test_plan_is_flat_with_signs_folded_into_butterflies():
     ft = scale_to(RDCT.matrix, 64, ("VII", "IV", "JAM")).factored
-    # one gather into pair order, then one butterfly per level over all its
-    # blocks, the sign stages of IV and VII taken into the layout, then one
-    # leaf product that reads its columns in pair order and also takes the
-    # mixing multipliers, and one gather that only moves rows: no sign or
-    # scale pass
+    # one gather into pair order, then the three butterfly levels over all
+    # their blocks as one stage, the sign stages of IV and VII taken into the
+    # layout, then one leaf product that reads its columns in pair order and
+    # also takes the mixing multipliers, and one gather that only moves rows:
+    # no sign or scale pass
     assert str(ft.plan).splitlines() == [
         "plan N=64, shift 1, growth 128:",
         "  gather 64, shift 0",
-        "  butterfly 64: add and subtract contiguous halves",
-        "  butterfly 32 on 2 blocks: add and subtract contiguous halves",
-        "  butterfly 16 on 4 blocks: add and subtract contiguous halves",
+        "  butterflies 64 to 16: one ±1 product of 8 rows",
         "  dense 8x8 product on 8 blocks, columns in pair order, row multipliers {-2, -1, 2}, shift 0",
         "  gather 64, shift 1",
     ]
@@ -578,7 +576,8 @@ def test_pair_order_holds_every_level(levels):
     # for every signed/unsigned level pattern at N = 16 ... 1024, the input
     # order puts each butterfly's partners half a block apart at every level,
     # and each storage block of 8 holds one leaf block: the plan runs one
-    # gather, the butterflies and the leaf with no gather between them
+    # gather, the butterfly levels in runs of at most four, and the leaf with
+    # no gather between them
     n = 8 << levels
     for signed in itertools.product((False, True), repeat=levels):
         ft = _skeleton(signed)
@@ -595,14 +594,24 @@ def test_pair_order_holds_every_level(levels):
             else:
                 layout = layout.then(st)
         assert halves == [n >> k for k in range(1, levels + 1)]
-        lines = ft.plan.lines()[1:]
-        kinds = [line.split()[0] for line in lines]
+        lines = [line.strip() for line in ft.plan.lines()[1:]]
+        runs = [
+            f"butterfly {n >> j}" if j + 1 == top else f"butterflies {n >> j} to {n >> (top - 1)}"
+            for j, top in ((j, min(j + 4, levels)) for j in range(0, levels, 4))
+        ]
+        k = len(runs) + 1
+        assert lines[0].split()[0] == "gather"
+        assert [line.split(":")[0].split(" on ")[0] for line in lines[1:k]] == runs
+        assert lines[k].split()[0] == "dense" and "columns in pair order" in lines[k]
         # a gather ends the plan only where the leaf blocks lie out of order
-        assert kinds[: levels + 2] == ["gather"] + ["butterfly"] * levels + ["dense"]
-        assert kinds[levels + 2 :] in ([], ["gather"])
-        assert "columns in pair order" in lines[levels + 1]
+        assert [line.split()[0] for line in lines[k + 1 :]] in ([], ["gather"])
+        # wide integer input runs level by level; one integer column and float
+        # input run each stage as one product
         x = np.random.default_rng(n).integers(-99, 99, size=(n, 3))
-        assert np.array_equal(ft.plan.run(x), _skeleton_product(signed, x))
+        want = _skeleton_product(signed, x)
+        assert np.array_equal(ft.plan.run(x), want)
+        assert np.array_equal(ft.plan.run(x[:, 1:2]), want[:, 1:2])
+        assert np.array_equal(ft.plan.run(x.astype(float)) * 2.0**ft.plan.shift, want)
 
 
 def _skeleton_product(signed: tuple[bool, ...], x: np.ndarray) -> np.ndarray:
