@@ -345,9 +345,7 @@ class _Butterfly(_BlockStage):
     def __init__(self, count: int, half: int, levels: int = 1):
         self.count, self.half, self.levels = count, half, levels
         self.norm = 2**levels
-        h = np.ones((1, 1), np.int64)
-        for _ in range(levels):
-            h = np.block([[h, h], [h, -h]])
+        h = reduce(np.kron, [np.array([[1, 1], [1, -1]])] * levels, np.ones((1, 1), np.int64))
         self.hadamard, self.hadamard_real = h, h.astype(np.float64)
 
     def then(self, bf: "_Butterfly") -> "_Butterfly | None":
