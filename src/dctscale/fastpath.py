@@ -363,7 +363,8 @@ class _Butterfly(_BlockStage):
             h = self.hadamard_real if x.dtype.kind == "f" else self.hadamard
             np.matmul(h, x.reshape(shape), out=out.reshape(shape))
             return out
-        buffers = (out, np.empty_like(out)) if self.levels % 2 else (np.empty_like(out), out)
+        scratch = np.empty_like(out) if self.levels > 1 else None
+        buffers = (out, scratch) if self.levels % 2 else (scratch, out)
         for i in range(self.levels):  # the last level writes ``out``
             half = self.half >> i
             shape = (rows // (2 * half), 2, half * cols)
