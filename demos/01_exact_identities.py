@@ -28,9 +28,10 @@ print()
 
 ################################################## STRUCTURED PIECES
 
-p = perfect_shuffle(4)
-print("perfect shuffle of 8 indices:", p.apply(list(range(8))))
-print("bit reversal of 8 indices:  ", bit_reversal(8).apply(list(range(8))))
+# permutations are gather indices: P @ x == x[index]
+x = np.arange(8)
+print("perfect shuffle of 8 indices:", x[perfect_shuffle(4)].tolist())
+print("bit reversal of 8 indices:  ", x[bit_reversal(8)].tolist())
 
 bf = butterfly(2)
 print("butterfly acting on [1 2 3 4]:", [str(v) for v in bf.apply([1, 2, 3, 4])])

@@ -38,7 +38,6 @@ from .fastpath import Factor, FactoredTransform, FactorKind, count_dense_dyadic
 from .matkit import (
     DyadicMatrix,
     DyadicRational,
-    Permutation,
     frobenius_distance,
     is_diagonal,
     is_generalized_permutation,
@@ -80,7 +79,6 @@ __all__ = [
     "METHOD_IDS",
     "MetricReport",
     "OrthogonalityCheck",
-    "Permutation",
     "ScaledTransform",
     "SignalModel",
     "StructuralKind",

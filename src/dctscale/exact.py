@@ -5,6 +5,10 @@ identity, sign diagonal, half diagonal, shuffle/bit-reversal permutations,
 butterfly, and the real matrices A, B, D, G that make the doubling
 factorization exact) all live here, together with a registry of the seven
 matrix identities the factorizations rest on.
+
+The two permutations are 1-D gather indices in the ``Factor.gather``
+convention, ``P @ x == x[index]``; ``structural_matrix`` expands them into
+a :class:`DyadicMatrix`.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ import enum
 
 import numpy as np
 
-from .matkit import DyadicMatrix, Permutation
+from .matkit import DyadicMatrix
 
 SQRT2 = float(np.sqrt(2.0))
 SQRT2_OVER_2 = SQRT2 / 2.0
@@ -89,25 +93,33 @@ def butterfly(half: int) -> DyadicMatrix:
     return DyadicMatrix(np.vstack([top, bot]))
 
 
-def perfect_shuffle(half: int) -> Permutation:
-    """Even-odd interleaving permutation of size 2N for N = half.
+def perfect_shuffle(half: int) -> np.ndarray:
+    """Gather index of the even-odd interleaving P of size 2N for N = half.
 
-    Column n maps to row 2n for n < N and to (2n mod 2N) + 1 otherwise.
+    ``P @ x == x[perfect_shuffle(half)]``: row 2n of P takes column n and
+    row 2n + 1 takes column N + n.
     """
     if half < 1:
         raise ValueError("shuffle half-size must be at least 1")
-    two_n = 2 * half
-    mapping = [2 * n if n < half else (2 * n) % two_n + 1 for n in range(two_n)]
-    return Permutation(mapping)
+    return np.arange(2 * half).reshape(2, half).T.ravel()
 
 
-def bit_reversal(n: int) -> Permutation:
-    """Binary-digit-reversal permutation; n must be a power of two."""
+def bit_reversal(n: int) -> np.ndarray:
+    """Gather index of the binary-digit reversal R; n must be a power of two.
+
+    R is an involution, so the index is also its own scatter form.
+    """
     if n < 1 or n & (n - 1):
         raise ValueError(f"bit reversal needs a power-of-two size, got {n}")
-    bits = n.bit_length() - 1
-    mapping = [int(format(i, f"0{bits}b")[::-1], 2) if bits else 0 for i in range(n)]
-    return Permutation(mapping)
+    index = np.zeros(1, dtype=np.int64)
+    while index.size < n:
+        index = np.concatenate([2 * index, 2 * index + 1])
+    return index
+
+
+def _gather_matrix(index: np.ndarray) -> DyadicMatrix:
+    """The permutation matrix P with ``P @ x == x[index]``."""
+    return DyadicMatrix(np.eye(index.size, dtype=np.int64)[index])
 
 
 # -- real structural factors ----------------------------------------------
@@ -151,8 +163,8 @@ def structural_matrix(kind: StructuralKind, n: int):
     """Generator dispatch for every structural factor.
 
     For PERFECT_SHUFFLE and BUTTERFLY, ``n`` is the half-size (the result is
-    2n x 2n).  Permutation kinds return :class:`Permutation`; J/IBAR/Z and
-    BUTTERFLY return :class:`DyadicMatrix`; A, D, B, G return float arrays.
+    2n x 2n).  J/IBAR/Z, the two permutations and BUTTERFLY return
+    :class:`DyadicMatrix`; A, D, B, G return float arrays.
     """
     if n < 1:
         raise ValueError("size must be at least 1")
@@ -171,9 +183,9 @@ def structural_matrix(kind: StructuralKind, n: int):
     if kind is StructuralKind.G:
         return signed_cosine_diagonal(n)
     if kind is StructuralKind.PERFECT_SHUFFLE:
-        return perfect_shuffle(n)
+        return _gather_matrix(perfect_shuffle(n))
     if kind is StructuralKind.BIT_REVERSAL:
-        return bit_reversal(n)
+        return _gather_matrix(bit_reversal(n))
     if kind is StructuralKind.BUTTERFLY:
         return butterfly(n)
     raise ValueError(f"unknown structural kind: {kind!r}")
@@ -217,7 +229,7 @@ def _dct4_from_dct2(n: int) -> float:
 
 
 def _doubling_rhs(n: int, lower_block: np.ndarray) -> np.ndarray:
-    p = perfect_shuffle(n).to_real()
+    p = _gather_matrix(perfect_shuffle(n)).to_real()
     mid = _block_diag(transform_matrix(TransformKind.DCT2, n), lower_block)
     return SQRT2_OVER_2 * p @ mid @ butterfly(n).to_real()
 
@@ -236,16 +248,16 @@ def _chen_simplified(n: int) -> float:
 
 def _shuffle_bitrev(n: int) -> float:
     # P_2N = R_2N * blockdiag(R_N, R_N); exact in integer arithmetic
-    lhs = perfect_shuffle(n).to_dyadic()
-    rn = bit_reversal(n).to_dyadic()
-    rhs = bit_reversal(2 * n).to_dyadic() @ DyadicMatrix.block_diag(rn, rn)
+    lhs = _gather_matrix(perfect_shuffle(n))
+    rn = _gather_matrix(bit_reversal(n))
+    rhs = _gather_matrix(bit_reversal(2 * n)) @ DyadicMatrix.block_diag(rn, rn)
     return float(np.max(np.abs(lhs.to_real() - rhs.to_real())))
 
 
 def _prop1_factorization(n: int) -> float:
     lhs = transform_matrix(TransformKind.DCT2, 2 * n)
     c2 = transform_matrix(TransformKind.DCT2, n)
-    p = perfect_shuffle(n).to_real()
+    p = _gather_matrix(perfect_shuffle(n)).to_real()
     eye = np.eye(n)
     rhs = (
         SQRT2_OVER_2

@@ -3,7 +3,8 @@
 Real matrices are plain float64 numpy arrays.  Low-complexity matrices are
 held exactly as :class:`DyadicMatrix` (integer numerators over a common
 power-of-two denominator), so Gram products, generalized-permutation checks
-and shift counting never see rounding error.
+and shift counting never see rounding error.  A permutation has no type
+of its own: it is a gather index array (``exact.perfect_shuffle``).
 """
 from __future__ import annotations
 
@@ -407,78 +408,12 @@ class DyadicMatrix:
         return f"DyadicMatrix({self._num.tolist()}, shift={self._shift})"
 
 
-class Permutation:
-    """A permutation of {0, …, size-1}; as a matrix, column ``n`` has its
-    single unit entry at row ``map[n]``."""
-
-    __slots__ = ("map",)
-
-    def __init__(self, mapping: Iterable[int]):
-        arr = np.array(list(mapping), dtype=np.int64)
-        n = arr.size
-        if not np.array_equal(np.sort(arr), np.arange(n)):
-            raise ValueError("mapping is not a bijection")
-        object.__setattr__(self, "map", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    @property
-    def size(self) -> int:
-        return self.map.size
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
-    def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.map)
-        inv[self.map] = np.arange(self.size)
-        return Permutation(inv)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Matrix product self @ other."""
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return Permutation(self.map[other.map])
-
-    def apply(self, x: Sequence) -> list:
-        """Vector image under the permutation matrix: ``y[map[n]] = x[n]``."""
-        if len(x) != self.size:
-            raise ValueError("vector length mismatch")
-        out = [None] * self.size
-        for n, v in enumerate(x):
-            out[int(self.map[n])] = v
-        return out
-
-    def to_dyadic(self) -> DyadicMatrix:
-        num = np.zeros((self.size, self.size), dtype=np.int64)
-        num[self.map, np.arange(self.size)] = 1
-        return DyadicMatrix(num)
-
-    def to_real(self) -> np.ndarray:
-        return self.to_dyadic().to_real()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return bool(np.array_equal(self.map, other.map))
-
-    def __hash__(self):
-        return hash(self.map.tobytes())
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.map.tolist()})"
-
-
 # -- free functions -----------------------------------------------------
 
 
 def as_real(m) -> np.ndarray:
-    """Coerce DyadicMatrix / Permutation / array-like to a float64 array."""
+    """Coerce DyadicMatrix / array-like to a float64 array."""
     if isinstance(m, DyadicMatrix):
-        return m.to_real()
-    if isinstance(m, Permutation):
         return m.to_real()
     return np.asarray(m, dtype=np.float64)
 
@@ -507,8 +442,6 @@ def is_generalized_permutation(m) -> bool:
     Dyadic matrices are tested exactly; float matrices use exact-zero
     structure (the matrices this is asked about have structural zeros).
     """
-    if isinstance(m, Permutation):
-        return True
     if isinstance(m, DyadicMatrix):
         pattern = m.numerators() != 0
     else:

@@ -47,7 +47,6 @@ from .exact import (
 from .fastpath import Factor, FactoredTransform
 from .matkit import (
     DyadicMatrix,
-    Permutation,
     as_real,
     is_diagonal,
     is_generalized_permutation,
@@ -161,8 +160,6 @@ def _coerce_seed(t, base_cost) -> _Level:
         # the plan's exact image of the identity, in place of the literal
         # O(N^3) product of the factors
         return _Level(t, t.plan.apply_batch(np.eye(t.size, dtype=np.int64)), None)
-    if isinstance(t, Permutation):
-        t = t.to_dyadic()
     if isinstance(t, DyadicMatrix):
         if t.rows != t.cols:
             raise ValueError("seed transform must be square")
@@ -177,21 +174,21 @@ def _coerce_seed(t, base_cost) -> _Level:
     return _Level(None, None, arr)
 
 
-def _stack_halves(top: np.ndarray, low: np.ndarray, unshuffle) -> np.ndarray:
+def _stack_halves(top: np.ndarray, low: np.ndarray, shuffle: np.ndarray) -> np.ndarray:
     """P [[top, top Ibar], [low Ibar, -low]] with low = B-hat T G-hat, P as a row gather."""
     halves = np.vstack([np.hstack([top, top[:, ::-1]]), np.hstack([low[:, ::-1], -low])])
-    return halves[unshuffle]
+    return halves[shuffle]
 
 
 def _double_dyadic(block: FactoredTransform, t: DyadicMatrix, mid: str):
     """One dyadic doubling: (index-built DyadicMatrix, its FactoredTransform)."""
     n = t.rows
-    unshuffle = perfect_shuffle(n).inverse().map
+    shuffle = perfect_shuffle(n)
     index, mult, b_shift, signs = _mixing(mid, n)
 
     num = t.numerators()
     low = mult[:, None] * (num * signs)[index]
-    dyadic = DyadicMatrix(_stack_halves(num << b_shift, low, unshuffle), t.shift + b_shift)
+    dyadic = DyadicMatrix(_stack_halves(num << b_shift, low, shuffle), t.shift + b_shift)
 
     ones = np.ones(n, dtype=np.int64)
     # the half-magnitude entry of methods III/VII (b_shift 1) is absorbed
@@ -205,7 +202,7 @@ def _double_dyadic(block: FactoredTransform, t: DyadicMatrix, mid: str):
     factored = FactoredTransform(
         2 * n,
         (
-            Factor.gather(unshuffle),
+            Factor.gather(shuffle),
             mixing,
             Factor.block_diag(block, 2),
             Factor.gather(np.arange(2 * n), np.concatenate([ones, signs])),
@@ -224,7 +221,7 @@ def _double_real(t: np.ndarray, mid: str) -> np.ndarray:
     else:
         index, mult, b_shift, signs = _mixing(mid, n)
         low = mult[:, None] * (t * signs)[index] * 0.5**b_shift
-    return _stack_halves(t, low, perfect_shuffle(n).inverse().map)
+    return _stack_halves(t, low, perfect_shuffle(n))
 
 
 def _double(seed: _Level, mid: str) -> _Level:

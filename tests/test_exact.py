@@ -28,7 +28,8 @@ from dctscale.exact import (
     transform_matrix,
     verify_identity,
 )
-from dctscale.matkit import DyadicMatrix, Permutation
+from dctscale.fastpath import Factor
+from dctscale.matkit import DyadicMatrix
 
 SQRT2 = np.sqrt(2.0)
 
@@ -97,26 +98,46 @@ def test_butterfly_matrix_and_action():
         butterfly(0)
 
 
-def test_perfect_shuffle_map():
-    assert perfect_shuffle(2).map.tolist() == [0, 2, 1, 3]
-    assert perfect_shuffle(4).map.tolist() == [0, 2, 4, 6, 1, 3, 5, 7]
-    # interleaves even- and odd-indexed outputs
-    p = perfect_shuffle(4)
-    y = p.apply(list(range(8)))
-    assert y == [0, 4, 1, 5, 2, 6, 3, 7]
+def test_perfect_shuffle_index():
+    # a gather index: P @ x == x[index] interleaves the two halves of x
+    x = np.arange(8)
+    assert x[perfect_shuffle(4)].tolist() == [0, 4, 1, 5, 2, 6, 3, 7]
+    assert perfect_shuffle(1).tolist() == [0, 1]
+    assert perfect_shuffle(2).tolist() == [0, 2, 1, 3]
+    for half in (1, 3, 8, 100):
+        p = perfect_shuffle(half)
+        assert p.shape == (2 * half,) and p.dtype.kind == "i"
+        assert np.array_equal(np.sort(p), np.arange(2 * half))
+        assert np.array_equal(p[0::2], np.arange(half))
+        assert np.array_equal(p[1::2], half + np.arange(half))
     with pytest.raises(ValueError):
         perfect_shuffle(0)
 
 
 def test_bit_reversal():
-    assert bit_reversal(1).map.tolist() == [0]
-    assert bit_reversal(8).map.tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
-    r = bit_reversal(16)
-    assert r.compose(r) == Permutation.identity(16)  # involution
+    assert bit_reversal(1).tolist() == [0]
+    assert bit_reversal(8).tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
+    for bits in range(11):
+        r = bit_reversal(1 << bits)
+        assert r.dtype.kind == "i"
+        assert np.array_equal(r[r], np.arange(1 << bits))  # involution
+        if bits:
+            want = [int(format(i, f"0{bits}b")[::-1], 2) for i in range(1 << bits)]
+            assert r.tolist() == want
     with pytest.raises(ValueError):
         bit_reversal(7)
     with pytest.raises(ValueError):
         bit_reversal(0)
+
+
+def test_shuffle_is_bit_reversals_on_indices():
+    # P_2N = R_2N bd(R_N, R_N); for gathers, (A B) x = x[b[a]]
+    for bits in range(10):
+        n = 1 << bits
+        rn = bit_reversal(n)
+        assert np.array_equal(
+            np.concatenate([rn, n + rn])[bit_reversal(2 * n)], perfect_shuffle(n)
+        )
 
 
 def test_counter_mixing_small_values():
@@ -163,12 +184,24 @@ def test_structural_matrix_dispatch_types():
     assert isinstance(structural_matrix(StructuralKind.IBAR, 4), DyadicMatrix)
     assert isinstance(structural_matrix(StructuralKind.Z, 4), DyadicMatrix)
     assert isinstance(structural_matrix(StructuralKind.BUTTERFLY, 4), DyadicMatrix)
-    assert isinstance(structural_matrix(StructuralKind.PERFECT_SHUFFLE, 4), Permutation)
-    assert isinstance(structural_matrix(StructuralKind.BIT_REVERSAL, 4), Permutation)
+    assert isinstance(structural_matrix(StructuralKind.PERFECT_SHUFFLE, 4), DyadicMatrix)
+    assert isinstance(structural_matrix(StructuralKind.BIT_REVERSAL, 4), DyadicMatrix)
     for kind in (StructuralKind.A, StructuralKind.B, StructuralKind.D, StructuralKind.G):
         assert isinstance(structural_matrix(kind, 4), np.ndarray)
     with pytest.raises(ValueError):
         structural_matrix(StructuralKind.J, 0)
+
+
+def test_permutation_matrices_are_their_gathers():
+    for n in (1, 2, 4, 16):
+        for m, index in (
+            (structural_matrix(StructuralKind.PERFECT_SHUFFLE, n), perfect_shuffle(n)),
+            (structural_matrix(StructuralKind.BIT_REVERSAL, 2 * n), bit_reversal(2 * n)),
+        ):
+            x = np.arange(2 * n) ** 2
+            assert Factor.gather(index).dyadic() == m
+            assert np.array_equal(m.numerators() @ x, x[index])
+            assert m @ m.T == DyadicMatrix.identity(2 * n)
 
 
 # ── identity registry ───────────────────────────────────────────────────────

@@ -22,11 +22,13 @@ from hypothesis import strategies as st
 
 from dctscale import catalog
 from dctscale.exact import (
+    StructuralKind,
     butterfly,
     counter_identity,
     half_leading_diagonal,
     perfect_shuffle,
     sign_diagonal,
+    structural_matrix,
 )
 from dctscale.fastpath import (
     Factor,
@@ -127,7 +129,7 @@ def test_factor_validation():
 
 
 def test_factor_costs():
-    assert Factor.gather(perfect_shuffle(4).inverse().map).cost() == (0, 0)
+    assert Factor.gather(perfect_shuffle(4)).cost() == (0, 0)
     assert Factor.butterfly(16).cost() == (16, 0)
     assert Factor.gather([0, 1], [2, 1]).cost() == (0, 1)
     assert Factor.gather([0, 1], [4, 1], 1).cost() == (0, 2)
@@ -141,8 +143,8 @@ def test_factor_costs():
 
 def test_factor_dyadic_views():
     assert Factor.butterfly(4).dyadic() == butterfly(2)
-    p = perfect_shuffle(4)
-    assert Factor.gather(p.inverse().map).dyadic() == p.to_dyadic()
+    p = structural_matrix(StructuralKind.PERFECT_SHUFFLE, 4)
+    assert Factor.gather(perfect_shuffle(4)).dyadic() == p
     # -Ibar Z J: reversed rows, alternating signs, the last one halved
     rows = np.arange(8)
     mult = -2 * (-1) ** rows[::-1]
@@ -189,8 +191,8 @@ def test_factor_apply_butterfly():
 
 
 def test_factor_apply_permutation_matches_matrix():
-    p = perfect_shuffle(4)
-    f = Factor.gather(p.inverse().map)
+    p = structural_matrix(StructuralKind.PERFECT_SHUFFLE, 4)
+    f = Factor.gather(perfect_shuffle(4))
     x = np.arange(8.0)
     assert f.apply_real(x) == pytest.approx(p.to_real() @ x)
     exact = f.apply_exact([DyadicRational(int(v)) for v in range(8)])
@@ -702,11 +704,12 @@ def test_compose_adds_costs_and_multiplies():
 
 def test_compose_keeps_declared_leaf_cost():
     leaf = FactoredTransform(8, (Factor.leaf(RDCT.matrix, (22, 0)),))
-    ident = FactoredTransform(8, (Factor.gather(perfect_shuffle(4).inverse().map),))
+    ident = FactoredTransform(8, (Factor.gather(perfect_shuffle(4)),))
     both = compose(leaf, ident)
     assert both.factors == leaf.factors + ident.factors
     assert both.cost() == (22, 0)
-    assert both.dense() == pytest.approx(RDCT.matrix.to_real() @ perfect_shuffle(4).to_real())
+    p = structural_matrix(StructuralKind.PERFECT_SHUFFLE, 4).to_real()
+    assert both.dense() == pytest.approx(RDCT.matrix.to_real() @ p)
     twice = compose(leaf, leaf)
     assert twice.cost() == (44, 0)
     assert twice.dense() == pytest.approx(RDCT.matrix.to_real() @ RDCT.matrix.to_real())
@@ -730,7 +733,7 @@ def test_describe_and_json():
     assert (doc["adds"], doc["shifts"]) == ft.cost()
     kinds = [f["kind"] for f in doc["factors"]]
     assert kinds == ["gather", "gather", "block-diag", "gather", "butterfly"]
-    assert doc["factors"][0]["index"] == perfect_shuffle(8).inverse().map.tolist()
+    assert doc["factors"][0]["index"] == perfect_shuffle(8).tolist()
     mixing = doc["factors"][1]
     assert (mixing["adds"], mixing["shifts"], mixing["shift"]) == (0, 0, 1)
     assert mixing["counted"] == [0, 1]  # the declared cost hides the half

@@ -1,4 +1,4 @@
-"""Exact dyadic arithmetic, permutations and the small matrix helpers.
+"""Exact dyadic arithmetic and the small matrix helpers.
 
 The dyadic types back every cost count and every bit-exact claim in the
 package, so they get the heaviest randomized coverage: arithmetic is
@@ -12,11 +12,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dctscale.exact import TransformKind, counter_mixing, transform_matrix
+from dctscale.exact import (
+    StructuralKind,
+    TransformKind,
+    counter_mixing,
+    structural_matrix,
+    transform_matrix,
+)
 from dctscale.matkit import (
     DyadicMatrix,
     DyadicRational,
-    Permutation,
     as_real,
     canonical,
     frobenius_distance,
@@ -237,40 +242,6 @@ def test_max_entry_shift_matches_per_entry_shifts():
     assert DyadicMatrix.zeros(3).max_entry_shift() == 0
 
 
-# ── Permutation ────────────────────────────────────────────────────────────
-
-
-def test_permutation_validation():
-    with pytest.raises(ValueError):
-        Permutation([0, 0, 1])
-    with pytest.raises(ValueError):
-        Permutation([0, 2])
-
-
-def test_permutation_matrix_semantics():
-    p = Permutation([2, 0, 1])
-    m = p.to_dyadic().numerators()
-    # column n carries its unit at row map[n]
-    for n, target in enumerate([2, 0, 1]):
-        assert m[target, n] == 1
-    assert p.apply(["a", "b", "c"]) == ["b", "c", "a"]
-
-
-def test_permutation_compose_matches_matrix_product():
-    rng = np.random.default_rng(404)
-    for _ in range(20):
-        n = int(rng.integers(2, 9))
-        p = Permutation(rng.permutation(n))
-        q = Permutation(rng.permutation(n))
-        lhs = p.compose(q).to_dyadic()
-        rhs = p.to_dyadic() @ q.to_dyadic()
-        assert lhs == rhs
-        # P P^T = I exactly, in integer arithmetic
-        prod = p.to_dyadic() @ p.inverse().to_dyadic()
-        assert prod == DyadicMatrix.identity(n)
-        assert p.compose(p.inverse()) == Permutation.identity(n)
-
-
 # ── free helpers ───────────────────────────────────────────────────────────
 
 
@@ -314,12 +285,11 @@ def test_is_generalized_permutation():
     assert is_generalized_permutation(-(ibar @ z @ j))
     # the exact mixing block has a dense first column
     assert not is_generalized_permutation(counter_mixing(8))
-    assert is_generalized_permutation(Permutation([1, 0]))
+    assert is_generalized_permutation(structural_matrix(StructuralKind.PERFECT_SHUFFLE, 4))
     with pytest.raises(ValueError):
         is_generalized_permutation(np.ones((2, 3)))
 
 
 def test_as_real_coercions():
     assert as_real(DyadicMatrix.identity(2)) == pytest.approx(np.eye(2))
-    assert as_real(Permutation([0, 1])) == pytest.approx(np.eye(2))
     assert as_real([[1, 2], [3, 4]]).dtype == np.float64

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from dctscale import catalog
 from dctscale.exact import (
+    StructuralKind,
     TransformKind,
+    bit_reversal,
     butterfly,
     counter_identity,
     counter_mixing,
@@ -27,6 +29,7 @@ from dctscale.exact import (
     perfect_shuffle,
     sign_diagonal,
     signed_cosine_diagonal,
+    structural_matrix,
     transform_matrix,
 )
 from dctscale.fastpath import FactoredTransform
@@ -147,7 +150,7 @@ def test_scale_jam_equivalence():
     n = t.rows
     st = scale(t, "JAM")
     expect = (
-        perfect_shuffle(n).to_dyadic()
+        structural_matrix(StructuralKind.PERFECT_SHUFFLE, n)
         @ DyadicMatrix.block_diag(t, t)
         @ butterfly(n)
     )
@@ -162,7 +165,7 @@ def test_scale_gram_block_structure(method):
         st = scale(t, method)
         b_hat, g_hat = (as_real(m) for m in method_blocks(method, n))
         tr = t.to_real()
-        p = perfect_shuffle(n).to_real()
+        p = structural_matrix(StructuralKind.PERFECT_SHUFFLE, n).to_real()
         lower = b_hat @ tr @ g_hat @ g_hat.T @ tr.T @ b_hat.T
         want = 2.0 * p @ scipy.linalg.block_diag(tr @ tr.T, lower) @ p.T
         assert np.max(np.abs(st.dense @ st.dense.T - want)) < 1e-10
@@ -193,6 +196,17 @@ def test_scale_seed_validation():
         scale(np.ones((2, 3)), "JAM")
     with pytest.raises(ValueError):
         scale(np.ones((0, 0)), "JAM")
+
+
+def test_gather_index_is_not_a_seed():
+    # a permutation is a 1-D gather index, not a square matrix
+    for index in (perfect_shuffle(4), bit_reversal(8)):
+        with pytest.raises(ValueError, match="square matrix"):
+            scale(index, "JAM")
+        with pytest.raises(ValueError, match="square matrix"):
+            scale_to(index, 16, "VII")
+        with pytest.raises(ValueError, match="square matrix"):
+            check_orthogonality(index, "JAM")
 
 
 # ── recursive scaling ──────────────────────────────────────────────────────
@@ -344,7 +358,7 @@ def _five_factor_product(t: DyadicMatrix, method: str) -> DyadicMatrix:
     b_hat, g_hat = _reference_blocks(method, n)
     ident = DyadicMatrix.identity(n)
     return (
-        perfect_shuffle(n).to_dyadic()
+        structural_matrix(StructuralKind.PERFECT_SHUFFLE, n)
         @ DyadicMatrix.block_diag(ident, b_hat)
         @ DyadicMatrix.block_diag(t, t)
         @ DyadicMatrix.block_diag(ident, g_hat)
@@ -359,7 +373,7 @@ def _five_factor_product_real(t: np.ndarray, b_hat, g_hat) -> np.ndarray:
     n = len(t)
     eye, bd = np.eye(n), scipy.linalg.block_diag
     return (
-        perfect_shuffle(n).to_real()
+        structural_matrix(StructuralKind.PERFECT_SHUFFLE, n).to_real()
         @ bd(eye, as_real(b_hat))
         @ bd(t, t)
         @ bd(eye, as_real(g_hat))
