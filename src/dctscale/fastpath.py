@@ -16,7 +16,8 @@ an arithmetic-cost model where additions and shifts are counted per
 factor.  Any factor may carry a ``declared_cost`` in place of its counted
 one; a catalog leaf declares its published fast-algorithm count.
 
-Application runs a :class:`Plan`, compiled on first use and cached: one flat
+:func:`apply` runs ints, bools and DyadicRationals exactly, the rest in float.
+Both paths run a :class:`Plan` built on first use by one rewrite pass: one flat
 list of numpy stages on the whole ``(..., N, B)`` array, each level's butterfly
 running once over all its blocks.  The rows run in a *pair order*, picked once
 by one gather in front of each run of butterflies, in which every butterfly
@@ -47,6 +48,7 @@ from .matkit import (
     NUMERATOR_BITS,
     DyadicMatrix,
     DyadicRational,
+    _as_int_array,
     aligned_numerators,
 )
 
@@ -107,7 +109,7 @@ class Factor:
         cls, index, mult=None, shift: int = 0, declared_cost: Cost | None = None
     ) -> "Factor":
         """``y[i] = mult[i] / 2**shift * x[index[i]]``; ``mult`` defaults to ones."""
-        g = _Gather(index, mult, shift)
+        g = _Gather(_as_int_array(index), None if mult is None else _as_int_array(mult), shift)
         n = g.index.size
         if g.index.ndim != 1 or (n and not 0 <= g.index.min() <= g.index.max() < n):
             raise ValueError("gather index must be a vector of positions below its length")
@@ -166,16 +168,11 @@ class Factor:
 
     # -- application -------------------------------------------------------
 
-    @cached_property
-    def plan(self) -> "Plan":
-        """This factor alone, compiled on first use."""
-        return Plan(self.size, _compile(self))
-
-    def apply_exact(self, x: list[DyadicRational]) -> list[DyadicRational]:
-        return self.plan.apply_exact(x)
+    def apply_exact(self, x) -> list[DyadicRational] | DyadicMatrix:
+        return FactoredTransform(self.size, (self,)).apply_exact(x)
 
     def apply_real(self, x: np.ndarray) -> np.ndarray:
-        return self.plan.apply_real(x)
+        return FactoredTransform(self.size, (self,)).apply_real(x)
 
     def describe(self) -> dict:
         """Kind, size and cost, plus the structure: a gather's arrays, a
@@ -226,7 +223,7 @@ class FactoredTransform:
         """The compiled stages, built on first application and kept."""
         return Plan(self.size, [st for f in reversed(self.factors) for st in _compile(f)])
 
-    def apply_exact(self, x: list[DyadicRational]) -> list[DyadicRational]:
+    def apply_exact(self, x) -> list[DyadicRational] | DyadicMatrix:
         return self.plan.apply_exact(x)
 
     def apply_real(self, x: np.ndarray) -> np.ndarray:
@@ -262,6 +259,10 @@ class _Gather:
 
     def multipliers(self) -> np.ndarray:
         return np.ones(self.index.size, np.int64) if self.mult is None else self.mult
+
+    @cached_property
+    def permutes(self) -> bool:
+        return bool(np.array_equal(np.sort(self.index), np.arange(self.index.size)))
 
     def cost(self) -> Cost:
         """No adds; one shift per nonzero multiplier of magnitude other than 2**shift."""
@@ -518,15 +519,6 @@ class _Layout:
         return _Layout((first + np.arange(size)).ravel())
 
 
-def _is_signed_permutation(g: _Gather) -> bool:
-    return (
-        not g.shift
-        and g.norm == 1
-        and bool(np.all(g.multipliers() != 0))
-        and np.array_equal(np.sort(g.index), np.arange(g.index.size))
-    )
-
-
 def _pair_order(stages: tuple, size: int) -> np.ndarray:
     """The input order for the butterflies of ``stages``, the first one first.
 
@@ -549,14 +541,19 @@ def _tiled(order: np.ndarray, size: int) -> np.ndarray:
     return (np.arange(size // order.size)[:, None] * order.size + order).ravel()
 
 
-def _paired(stages: tuple, size: int) -> list:
-    """The stages rewritten to run in pair order.
+def _paired(stages: tuple, size: int, scale: float) -> list:
+    """The stages as run: in pair order, and times ``scale`` on float input.
 
     A signed-permutation gather only changes the layout.  A butterfly whose
     pairs the layout does not hold half a block apart gets a gather to the
     pair order of the run it starts; a leaf takes the layout into its
     columns where each storage block holds one of its blocks; every other
-    gather, and the end of the plan, take the layout into their index.
+    gather, and the end of the plan, take the layout into their index.  The
+    last gather, appended where none ends the plan, takes ``scale``.  A
+    gather is sealed once a butterfly or leaf follows it, or the plan ends;
+    sealed right after a leaf, a permutation hands power-of-two multipliers
+    to the leaf's rows, where float products stay exact and int64 ones
+    within ``growth``, and then only moves rows.
     """
     out: list = []
     layout = _Layout(np.arange(size))
@@ -564,6 +561,16 @@ def _paired(stages: tuple, size: int) -> list:
     def settle(order: np.ndarray) -> _Layout:
         _push_gather(out, layout.gather_to(order))
         return _Layout(order)
+
+    def seal() -> None:
+        k = len(out)  # out[k:] are the gathers that end out; out[k] may follow a leaf
+        while k and isinstance(out[k - 1], _Gather):
+            k -= 1
+        if 0 < k < len(out) and isinstance(out[k - 1], _Dense) and out[k]._real is not None:
+            g, mag = out[k], np.abs(out[k].multipliers())
+            if g.permutes and np.all((mag > 0) & (mag & (mag - 1) == 0)):
+                out[k - 1] = out[k - 1].scaled_by(g)
+                out[k : k + 1] = [] if g.unpermuted else [_Gather(g.index, None, g.shift)]
 
     for k, st in enumerate(stages):
         if isinstance(st, _Butterfly):
@@ -580,35 +587,21 @@ def _paired(stages: tuple, size: int) -> list:
             if not layout.is_identity():
                 st = st.reading(layout)
                 layout = layout.after_blocks(st.m.rows)
-        elif _is_signed_permutation(st):
+        elif not st.shift and st.norm == 1 and st.permutes and np.all(st.multipliers() != 0):
             layout = layout.then(st)
             continue
         else:
             layout = settle(np.arange(size))
             _push_gather(out, st)
             continue
+        seal()
         out.append(st)
     settle(np.arange(size))
+    if scale != 1:
+        last = out.pop() if out and isinstance(out[-1], _Gather) else _Gather(np.arange(size))
+        out.append(_Gather(last.index, last.mult, last.shift, scale))
+    seal()
     return out
-
-
-def _leaf_folded(stages: tuple) -> tuple:
-    """Move the multipliers of a permutation right after a leaf into the leaf's
-    rows, where they are powers of two, so that float products stay exact; the
-    gather then only moves rows.  An int64 product past 62 bits would need a
-    growth that only an all-zero input passes."""
-    out: list = []
-    for st in stages:
-        if isinstance(st, _Gather) and st._real is not None and out and isinstance(out[-1], _Dense):
-            mag = np.abs(st.multipliers())
-            powers = np.all((mag > 0) & (mag & (mag - 1) == 0))
-            if powers and np.array_equal(np.sort(st.index), np.arange(st.index.size)):
-                out[-1] = out[-1].scaled_by(st)
-                if st.unpermuted:
-                    continue
-                st = _Gather(st.index, None, st.shift)
-        out.append(st)
-    return tuple(out)
 
 
 class Plan:
@@ -622,9 +615,9 @@ class Plan:
 
     ``stages`` are in the factors' row order; they are tiled into the plans
     of enclosing block-diags, and ``shift`` and ``growth`` are theirs.  The
-    stages as run keep the rows in pair order (:func:`_paired`), which moves
-    rows and flips signs only, so row norms, and with them ``growth``, are
-    the same.
+    stages as run (:func:`_paired`) keep the rows in pair order, which moves
+    rows and flips signs only, and a leaf there may take the multipliers of
+    the gather after it, so ``growth`` still bounds every stage.
     """
 
     def __init__(self, size: int, stages: list):
@@ -635,16 +628,8 @@ class Plan:
 
     @cached_property
     def _executed(self) -> tuple:
-        """The stages as run, built on first use; on float input they also
-        multiply by 2**-shift, in the float multipliers of a last gather."""
-        stages = tuple(_paired(self.stages, self.size))
-        if self.shift:
-            # where no gather ends the stages, one is appended; on int input it only copies
-            last = _Gather(np.arange(self.size))
-            if stages and isinstance(stages[-1], _Gather):
-                stages, last = stages[:-1], stages[-1]
-            stages += (_Gather(last.index, last.mult, last.shift, 2.0**-self.shift),)
-        return _leaf_folded(stages)
+        """The stages as run, built on first use; float input also takes 2**-shift."""
+        return tuple(_paired(self.stages, self.size, 2.0**-self.shift))
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """The stages along axis -2 of ``x`` (only read): numerators of int input,
@@ -662,16 +647,14 @@ class Plan:
             x = st.run(x, buffers[i & 1])
         return x
 
-    def apply_exact(self, x) -> list[DyadicRational]:
-        """Exact image of one vector of ints or DyadicRationals."""
-        if len(x) != self.size:
-            raise ValueError(f"expected a vector of length {self.size}, got {len(x)}")
-        vec, shift = aligned_numerators(x, self.growth)
-        return DyadicRational.from_numerators(self.run(vec[:, None])[:, 0], shift + self.shift)
-
-    def apply_batch(self, x: np.ndarray) -> DyadicMatrix:
-        """Exact image of the columns of an (N, B) integer array."""
-        return DyadicMatrix(self.run(aligned_numerators(x, self.growth)[0]), self.shift)
+    def apply_exact(self, x) -> list[DyadicRational] | DyadicMatrix:
+        """Exact image of ints and DyadicRationals: a list for a vector, a DyadicMatrix for (N, B)."""
+        num, shift = aligned_numerators(x, self.growth)
+        if num.ndim not in (1, 2) or num.shape[0] != self.size:
+            raise ValueError(f"expected {self.size} rows, got shape {num.shape}")
+        if num.ndim == 2:
+            return DyadicMatrix(self.run(num), shift + self.shift)
+        return DyadicRational.from_numerators(self.run(num[:, None])[:, 0], shift + self.shift)
 
     def apply_real(self, x: np.ndarray) -> np.ndarray:
         """Float image of a vector, or of axis -2 of an (..., N, B) array."""
@@ -696,24 +679,17 @@ class Plan:
 def apply(ft: FactoredTransform, x) -> list[DyadicRational] | DyadicMatrix | np.ndarray:
     """Apply the factored transform to a vector or to the columns of a batch.
 
-    Integer, bool or dyadic-rational vectors come back exact, as ``DyadicRational``s,
-    and an (N, B) integer or bool array as one ``DyadicMatrix``; exact images past 62
-    bits raise OverflowError, complex input TypeError.  The rest runs in float.
+    Integer, bool or dyadic-rational vectors, as lists or arrays, come back exact as
+    ``DyadicRational``s, and (N, B) batches of them as one ``DyadicMatrix``; exact
+    images past 62 bits raise OverflowError, complex input TypeError.  The rest runs in float.
     """
-    if isinstance(x, np.ndarray) and x.dtype.kind != "O":
-        if x.ndim not in (1, 2) or x.shape[0] != ft.size:
-            raise ValueError(f"expected shape ({ft.size},) or ({ft.size}, B), got {x.shape}")
-        if x.dtype.kind not in "iub":
-            return ft.apply_real(x)
-        return ft.plan.apply_batch(x) if x.ndim == 2 else ft.apply_exact(x)
-    # a list of ints becomes an integer array in one numpy pass
-    values = np.asarray(x if isinstance(x, (list, tuple)) else list(x))
-    if len(values) != ft.size:
-        raise ValueError(f"expected a vector of length {ft.size}, got {len(values)}")
+    values = np.asarray(x if isinstance(x, (list, tuple, np.ndarray)) else list(x))
+    if values.ndim not in (1, 2) or values.shape[0] != ft.size:
+        raise ValueError(f"expected length {ft.size}, shape ({ft.size},) or ({ft.size}, B), got {values.shape}")
     kind = values.dtype.kind
-    if kind == "O" and all(isinstance(v, (int, np.integer, DyadicRational)) for v in values):
+    if kind == "O" and all(isinstance(v, (int, np.integer, DyadicRational)) for v in values.flat):
         kind = "i"
-    if values.ndim == 1 and kind in "iub":
+    if kind in "iub":
         return ft.apply_exact(values)
     return ft.apply_real(values.astype(float) if kind == "O" else values)
 

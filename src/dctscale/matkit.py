@@ -31,8 +31,9 @@ class DyadicRational:
     __slots__ = ("numerator", "shift")
 
     def __init__(self, numerator: int, shift: int = 0):
-        numerator = int(numerator)
-        shift = int(shift)
+        # every arithmetic result arrives as plain ints; only other input is checked
+        if type(numerator) is not int or type(shift) is not int:
+            numerator, shift = _integer(numerator), _integer(shift)
         if shift < 0:
             raise ValueError("shift must be non-negative")
         if numerator == 0:
@@ -144,6 +145,14 @@ class DyadicRational:
         return dyadic_str(self.numerator, self.shift)
 
 
+def _integer(value) -> int:
+    """``value`` as an int; ValueError where it is not integral (2.0 is)."""
+    as_int = int(value)
+    if as_int != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return as_int
+
+
 def dyadic_str(numerator: int, shift: int) -> str:
     """``"p"`` or ``"p/2^s"`` text of a canonical dyadic value."""
     if shift == 0:
@@ -176,15 +185,16 @@ def canonical(num: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
 def aligned_numerators(values: Iterable, growth: int) -> tuple[np.ndarray, int]:
     """int64 numerators of ints and DyadicRationals over their largest shift.
 
-    An integer vector converts in one numpy pass.  The largest numerator is
-    checked against ``growth`` by :func:`check_growth` before the int64
-    conversion, so no value wraps.  Other values raise TypeError.
+    The values may have any shape; an integer array converts in one numpy
+    pass.  The largest numerator is checked against ``growth`` by
+    :func:`check_growth` before the int64 conversion, so no value wraps.
+    Other values raise TypeError.
     """
     arr = np.asarray(values)
     shift = 0
     if arr.dtype.kind == "O":
-        shift = max((v.shift for v in arr.tolist() if isinstance(v, DyadicRational)), default=0)
-        arr = np.array([_aligned(v, shift) for v in arr.tolist()], dtype=object)
+        shift = max((v.shift for v in arr.flat if isinstance(v, DyadicRational)), default=0)
+        arr = np.array([_aligned(v, shift) for v in arr.flat], dtype=object).reshape(arr.shape)
     elif arr.dtype.kind not in "iub":
         raise TypeError(f"exact application takes ints and DyadicRationals, got {arr.dtype}")
     check_growth(max(int(arr.max()), -int(arr.min())) if arr.size else 0, growth)
@@ -213,10 +223,16 @@ def check_growth(peak: int, growth: int) -> None:
 
 
 def _as_int_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.int64, copy=True)
-    if arr.ndim != 2:
-        raise ValueError("matrix data must be two-dimensional")
-    return arr
+    """A fresh int64 copy of ``values``; ValueError where one is not integral.
+
+    Integer and bool arrays are copied in one pass; other input, such as
+    floats (2.0 is integral), is compared with its int64 image.
+    """
+    arr = np.asarray(values)
+    ints = arr.astype(np.int64)
+    if arr.dtype.kind not in "iub" and not np.array_equal(ints, arr):
+        raise ValueError("expected integers, got a value with a fractional part")
+    return ints
 
 
 class DyadicMatrix:
@@ -231,7 +247,9 @@ class DyadicMatrix:
 
     def __init__(self, numerators, shift: int = 0):
         num = _as_int_array(numerators)
-        shift = int(shift)
+        if num.ndim != 2:
+            raise ValueError("matrix data must be two-dimensional")
+        shift = _integer(shift)
         if shift < 0:
             raise ValueError("shift must be non-negative")
         # factor out common powers of two so entry shifts stay minimal

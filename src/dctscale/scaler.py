@@ -159,7 +159,7 @@ def _coerce_seed(t, base_cost) -> _Level:
     if isinstance(t, FactoredTransform):
         # the plan's exact image of the identity, in place of the literal
         # O(N^3) product of the factors
-        return _Level(t, t.plan.apply_batch(np.eye(t.size, dtype=np.int64)), None)
+        return _Level(t, t.apply_exact(np.eye(t.size, dtype=np.int64)), None)
     if isinstance(t, DyadicMatrix):
         if t.rows != t.cols:
             raise ValueError("seed transform must be square")
@@ -250,7 +250,8 @@ def scale(t, method: str, *, base_cost: tuple[int, int] | None = None) -> Scaled
 
     ``base_cost`` optionally declares the seed's published (adds, shifts)
     so the factored cost model uses fast-algorithm counts instead of a
-    naive dense count.  Ignored when ``t`` is already a FactoredTransform.
+    naive dense count.  Ignored when ``t`` is already a FactoredTransform,
+    and for a float seed, which has no factored form.
     """
     mid = normalize_method(method)
     return _finish(mid, _double(_coerce_seed(t, base_cost), mid))

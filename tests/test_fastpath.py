@@ -128,6 +128,16 @@ def test_factor_validation():
         Factor.block_diag(leaf, 0)
 
 
+def test_gather_rejects_non_integral_input():
+    # a fractional index or multiplier raises instead of being truncated into
+    # a zero row or another position; integral floats are taken as their value
+    for args in (([0, 1], [0.5, 1]), ([0.7, 1.2],), (np.array([1.0, 0.5]),)):
+        with pytest.raises(ValueError, match="integers"):
+            Factor.gather(*args)
+    g = Factor.gather(np.array([1.0, 0.0]), [2.0, -1])
+    assert g.dyadic() == DyadicMatrix([[0, 2], [-1, 0]])
+
+
 def test_factor_costs():
     assert Factor.gather(perfect_shuffle(4)).cost() == (0, 0)
     assert Factor.butterfly(16).cost() == (16, 0)
@@ -348,8 +358,40 @@ def test_apply_integer_batch_returns_dyadic_matrix():
 def test_apply_integer_array_shape_errors():
     ft = scale(RDCT.matrix, "JAM").factored
     for shape in ((4, 16), (16, 2, 2), (), (15,)):
-        with pytest.raises(ValueError, match=r"shape \(16,\) or \(16, B\)"):
-            apply(ft, np.zeros(shape, dtype=np.int64))
+        x = np.zeros(shape, dtype=np.int64)
+        for given in (x, x.astype(float)) + ((x.tolist(),) if shape else ()):
+            with pytest.raises(ValueError, match=r"shape \(16,\) or \(16, B\)"):
+                apply(ft, given)
+
+
+def test_batches_come_back_exact_as_lists_or_arrays():
+    # an (N, B) batch of ints comes back as the same exact DyadicMatrix as a
+    # nested list, an int array or an object array, and through
+    # FactoredTransform.apply_exact as well
+    scaled = scale_to(SDCT.matrix, 32, ("VI", "III"))
+    x = np.random.default_rng(31).integers(-99, 99, size=(32, 4))
+    want = scaled.dyadic @ DyadicMatrix(x)
+    for batch in (x, x.tolist(), x.astype(object)):
+        out = apply(scaled.factored, batch)
+        assert isinstance(out, DyadicMatrix) and out == want
+    out = scaled.factored.apply_exact(x)
+    assert isinstance(out, DyadicMatrix) and out == want
+
+
+def test_object_batch_of_dyadic_rationals_is_exact():
+    # DyadicRationals of mixed shifts, and ints, in a 2-D object array or a
+    # nested list, against the dense exact product over their common shift
+    scaled = scale_to(RDCT.matrix, 32, ("VII", "JAM"))
+    rng = np.random.default_rng(32)
+    nums, shifts = rng.integers(-999, 999, size=(32, 3)), rng.integers(0, 7, size=(32, 3))
+    values = np.empty((32, 3), dtype=object)
+    for i, j in np.ndindex(values.shape):
+        values[i, j] = DyadicRational(int(nums[i, j]), int(shifts[i, j]))
+    values[0, 0], nums[0, 0], shifts[0, 0] = 5, 5, 0  # an int among them
+    want = scaled.dyadic @ DyadicMatrix(nums << (shifts.max() - shifts), shifts.max())
+    for batch in (values, values.tolist()):
+        out = apply(scaled.factored, batch)
+        assert isinstance(out, DyadicMatrix) and out == want
 
 
 def test_plan_is_lazy_and_cached():
@@ -661,6 +703,28 @@ def test_pair_order_plans_match_the_dense_product():
     digest = hashlib.sha256("\n".join(headers).encode()).hexdigest()
     assert len(headers) == 246
     assert digest == "94d68a4e180617901f8f63e7e673b95779eb93ea09816cb5e0844c85ed375c1c"
+
+
+def test_executed_plan_text_is_pinned():
+    # the full text of every stage as run, for the pair-order cases, lone and
+    # composed butterflies, a leaf alone and before a permutation with and
+    # without power-of-two multipliers, and a gather that only shifts, hashes
+    # to the value captured before the rewrite passes were merged into one
+    perm = np.array([3, 1, 0, 2, 7, 5, 4, 6])
+    fts = [_built(approx, chain).factored for approx, chain in _pair_order_cases()]
+    fts += [FactoredTransform(n, (Factor.butterfly(n),)) for n in (2, 6, 8)]
+    fts += [
+        FactoredTransform(16, (Factor.butterfly(16), Factor.butterfly(16))),
+        compose(scale(RDCT.matrix, "JAM").factored, scale(SDCT.matrix, "VI").factored),
+        compose(scale(RDCT.matrix, "III").factored, scale(SDCT.matrix, "VII").factored),
+        FactoredTransform(8, (Factor.leaf(catalog.load("abdct").matrix),)),
+        FactoredTransform(8, (Factor.gather(perm, [2, -1, 4, 1, -2, 1, 1, 8]), Factor.leaf(RDCT.matrix))),
+        FactoredTransform(8, (Factor.gather(perm, [3, 1, 1, 1, 1, 1, 1, 1]), Factor.leaf(RDCT.matrix))),
+        FactoredTransform(8, (Factor.gather(np.arange(8), None, shift=1),)),
+    ]
+    text = "\n\n".join(str(ft.plan) for ft in fts)
+    assert len(fts) == 256
+    assert hashlib.sha256(text.encode()).hexdigest() == "ce9c1160e50c219a48061fbc8a6018bba2e8c6667b8368b7f935e608dfe68868"
 
 
 @pytest.mark.parametrize(

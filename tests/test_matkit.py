@@ -66,6 +66,16 @@ def test_rational_validation():
     DyadicRational((1 << 62) - 1)
 
 
+def test_rational_rejects_non_integral_input():
+    # a fractional numerator or shift raises instead of being truncated;
+    # integral floats and numpy integers are taken as their value
+    for args in ((1.5,), (3, 1.9), (0.5, 0)):
+        with pytest.raises(ValueError, match="integer"):
+            DyadicRational(*args)
+    assert DyadicRational(2.0) == DyadicRational(2)
+    assert DyadicRational(np.int64(6), np.int32(2)) == DyadicRational(3, 1)
+
+
 def test_rational_immutable_and_hashable():
     d = DyadicRational(3, 1)
     with pytest.raises(AttributeError):
@@ -128,6 +138,17 @@ def test_matrix_constructor_validation():
         DyadicMatrix([[1]], -1)
     with pytest.raises(OverflowError):
         DyadicMatrix([[1 << 62]])
+
+
+def test_matrix_rejects_non_integral_input():
+    # non-integral numerators or shifts raise instead of being truncated;
+    # integral floats, numpy integers and bools are taken as their value
+    for args in (([[0.5, 1.7]],), (np.array([[2.0, 1.5]]),), ([[1, 2]], 1.5)):
+        with pytest.raises(ValueError, match="integer"):
+            DyadicMatrix(*args)
+    assert DyadicMatrix(np.array([[2.0, 4.0]]), 1) == DyadicMatrix([[1, 2]])
+    assert DyadicMatrix(np.array([[3, -1]], dtype=np.int16), np.int64(1)) == DyadicMatrix([[3, -1]], 1)
+    assert DyadicMatrix(np.array([[True, False]])) == DyadicMatrix([[1, 0]])
 
 
 def test_matrix_identity_zeros_blockdiag():
