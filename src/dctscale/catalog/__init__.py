@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -155,16 +156,23 @@ def _validate(entry: ApproximationEntry) -> None:
 
 
 def load(approx_id: str) -> ApproximationEntry:
-    """Load one catalog member by id, verifying checksum and self-tests."""
+    """Load one catalog member by id, verifying checksum and self-tests.
+
+    The file is read and its checksum checked on every call; the parsed and
+    validated entry is shared between calls on the same verified text.
+    """
     if approx_id not in APPROXIMATION_IDS:
         raise ValueError(
             f"unknown approximation {approx_id!r}; "
             f"choose from {', '.join(APPROXIMATION_IDS)}"
         )
-    if approx_id in ("sdct", "rdct"):
-        matrix = _generate(approx_id)
-    else:
-        matrix = parse_matrix_text(_read_checked(f"{approx_id}.txt"))
+    text = None if approx_id in ("sdct", "rdct") else _read_checked(f"{approx_id}.txt")
+    return _entry(approx_id, text)
+
+
+@lru_cache(maxsize=len(APPROXIMATION_IDS))
+def _entry(approx_id: str, text: str | None) -> ApproximationEntry:
+    matrix = _generate(approx_id) if text is None else parse_matrix_text(text)
     adds, shifts = _BASELINES[approx_id]
     entry = ApproximationEntry(
         id=approx_id,

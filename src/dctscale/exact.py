@@ -13,6 +13,7 @@ a :class:`DyadicMatrix`.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +21,9 @@ from .matkit import DyadicMatrix
 
 SQRT2 = float(np.sqrt(2.0))
 SQRT2_OVER_2 = SQRT2 / 2.0
+
+#: Matrices each cache below and in ``metrics`` keeps; one at N = 4096 is 128 MB.
+CACHE_SIZE = 32
 
 
 class TransformKind(enum.Enum):
@@ -42,24 +46,28 @@ class StructuralKind(enum.Enum):
 
 
 def transform_matrix(kind: TransformKind, n: int) -> np.ndarray:
-    """The n x n orthonormal transform matrix for the requested kind."""
+    """The n x n orthonormal transform matrix for the requested kind; shared, so read-only."""
     if n < 1:
         raise ValueError("transform size must be at least 1")
+    return _transform_matrix(kind, n)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _transform_matrix(kind: TransformKind, n: int) -> np.ndarray:
     k = np.arange(n)[:, None].astype(np.float64)
     m = np.arange(n)[None, :].astype(np.float64)
     if kind is TransformKind.DCT2:
         beta = np.ones((n, 1))
         beta[0, 0] = 1.0 / SQRT2
-        return np.sqrt(2.0 / n) * beta * np.cos(k * (2 * m + 1) * np.pi / (2 * n))
-    if kind is TransformKind.DCT4:
-        return np.sqrt(2.0 / n) * np.cos(
-            (2 * k + 1) * (2 * m + 1) * np.pi / (4 * n)
-        )
-    if kind is TransformKind.DST4:
-        return np.sqrt(2.0 / n) * np.sin(
-            (2 * k + 1) * (2 * m + 1) * np.pi / (4 * n)
-        )
-    raise ValueError(f"unknown transform kind: {kind!r}")
+        out = np.sqrt(2.0 / n) * beta * np.cos(k * (2 * m + 1) * np.pi / (2 * n))
+    elif kind is TransformKind.DCT4:
+        out = np.sqrt(2.0 / n) * np.cos((2 * k + 1) * (2 * m + 1) * np.pi / (4 * n))
+    elif kind is TransformKind.DST4:
+        out = np.sqrt(2.0 / n) * np.sin((2 * k + 1) * (2 * m + 1) * np.pi / (4 * n))
+    else:
+        raise ValueError(f"unknown transform kind: {kind!r}")
+    out.setflags(write=False)
+    return out
 
 
 # -- dyadic structural factors -------------------------------------------

@@ -49,6 +49,7 @@ from .matkit import (
     DyadicMatrix,
     DyadicRational,
     _as_int_array,
+    _integer,
     aligned_numerators,
 )
 
@@ -109,6 +110,7 @@ class Factor:
         cls, index, mult=None, shift: int = 0, declared_cost: Cost | None = None
     ) -> "Factor":
         """``y[i] = mult[i] / 2**shift * x[index[i]]``; ``mult`` defaults to ones."""
+        shift = _integer(shift)
         g = _Gather(_as_int_array(index), None if mult is None else _as_int_array(mult), shift)
         n = g.index.size
         if g.index.ndim != 1 or (n and not 0 <= g.index.min() <= g.index.max() < n):
@@ -683,7 +685,7 @@ def apply(ft: FactoredTransform, x) -> list[DyadicRational] | DyadicMatrix | np.
     ``DyadicRational``s, and (N, B) batches of them as one ``DyadicMatrix``; exact
     images past 62 bits raise OverflowError, complex input TypeError.  The rest runs in float.
     """
-    values = np.asarray(x if isinstance(x, (list, tuple, np.ndarray)) else list(x))
+    values = np.asarray(x if isinstance(x, (list, tuple, np.ndarray)) or not np.iterable(x) else list(x))
     if values.ndim not in (1, 2) or values.shape[0] != ft.size:
         raise ValueError(f"expected length {ft.size}, shape ({ft.size},) or ({ft.size}, B), got {values.shape}")
     kind = values.dtype.kind

@@ -226,9 +226,12 @@ def _as_int_array(values) -> np.ndarray:
     """A fresh int64 copy of ``values``; ValueError where one is not integral.
 
     Integer and bool arrays are copied in one pass; other input, such as
-    floats (2.0 is integral), is compared with its int64 image.
+    floats (2.0 is integral), is compared with its int64 image; floats
+    without one (NaN, infinities, |x| >= 2**63) raise before the cast.
     """
     arr = np.asarray(values)
+    if arr.dtype.kind == "f" and not np.all(np.abs(arr) < 2.0**63):
+        raise ValueError("expected integers, got a non-finite or out-of-range value")
     ints = arr.astype(np.int64)
     if arr.dtype.kind not in "iub" and not np.array_equal(ints, arr):
         raise ValueError("expected integers, got a value with a fractional part")

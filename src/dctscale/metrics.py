@@ -8,9 +8,11 @@ signal model, unified transform coding gain, and transform efficiency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .exact import CACHE_SIZE
 from .matkit import as_real
 
 
@@ -28,10 +30,17 @@ class SignalModel:
             raise ValueError("AR(1) correlation must satisfy 0 <= rho < 1")
 
     def autocovariance(self) -> np.ndarray:
-        """Covariance matrix [R_x]_ij = rho^|i-j| (symmetric Toeplitz)."""
-        p = self.rho ** np.arange(self.size)
-        rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([p[:0:-1], p]), self.size)
-        return rows[::-1].copy()  # row i is the window p[i], ..., p[0], ..., p[N-1-i]
+        """Covariance matrix [R_x]_ij = rho^|i-j| (symmetric Toeplitz); shared, so read-only."""
+        return _autocovariance(self.size, self.rho)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _autocovariance(size: int, rho: float) -> np.ndarray:
+    p = rho ** np.arange(size)
+    rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([p[:0:-1], p]), size)
+    out = rows[::-1].copy()  # row i is the window p[i], ..., p[0], ..., p[N-1-i]
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,32 @@ def test_checksum_mismatch_detected(monkeypatch):
         load("lodct")
 
 
+def test_checksum_checked_on_every_load(monkeypatch):
+    # the parsed entry is shared, but each load still reads and checks the file
+    first = load("bas1")
+    assert load("bas1") is first
+    bad = dict(catalog._manifest())
+    bad["bas1.txt"] = "0" * 64
+    monkeypatch.setattr(catalog, "_manifest", lambda: bad)
+    with pytest.raises(ValueError, match="checksum mismatch"):
+        load("bas1")
+
+
+def test_changed_text_is_parsed_afresh(monkeypatch):
+    # the shared entry is keyed on the verified text, not on the id alone
+    first = load("bas1")
+    text = catalog._read_checked("bas1.txt")
+    negated = text.replace("0 0 1 0 0 -1 0 0", "0 0 -1 0 0 1 0 0")
+    monkeypatch.setattr(catalog, "_read_checked", lambda filename: negated)
+    num = first.matrix.numerators()
+    num[3] *= -1
+    assert load("bas1").matrix == DyadicMatrix(num)
+    out_of_set = text.replace("0 0 1 0 0 -1 0 0", "0 0 3 0 0 -1 0 0")
+    monkeypatch.setattr(catalog, "_read_checked", lambda filename: out_of_set)
+    with pytest.raises(ValueError, match="outside the low-complexity set"):
+        load("bas1")
+
+
 def test_validate_rejects_entries_outside_the_low_complexity_set():
     rdct = load("rdct")
 

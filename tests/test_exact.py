@@ -61,6 +61,18 @@ def test_dst4_from_dct4_relation():
     assert np.max(np.abs(s4 - rhs)) < 1e-12
 
 
+def test_transform_matrix_is_shared_and_read_only():
+    for kind in TransformKind:
+        m = transform_matrix(kind, 8)
+        want = m.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            m *= 2.0
+        again = transform_matrix(kind, 8)
+        assert again is m and np.array_equal(again, want)
+
+
 def test_transform_size_validation():
     with pytest.raises(ValueError):
         transform_matrix(TransformKind.DCT2, 0)

@@ -136,6 +136,18 @@ def test_gather_rejects_non_integral_input():
             Factor.gather(*args)
     g = Factor.gather(np.array([1.0, 0.0]), [2.0, -1])
     assert g.dyadic() == DyadicMatrix([[0, 2], [-1, 0]])
+    with pytest.raises(ValueError, match="integer"):
+        Factor.gather([1, 0], [1, 1], 1.5)
+    assert Factor.gather([1, 0], [2, 1], 1.0).cost() == (0, 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gather_rejects_non_finite_input_without_a_cast_warning():
+    for bad in (np.nan, np.inf, -np.inf, 1e30):
+        with pytest.raises(ValueError, match="non-finite or out-of-range"):
+            Factor.gather([bad, 0])
+        with pytest.raises(ValueError, match="non-finite or out-of-range"):
+            Factor.gather([1, 0], [bad, 1])
 
 
 def test_factor_costs():
@@ -359,7 +371,7 @@ def test_apply_integer_array_shape_errors():
     ft = scale(RDCT.matrix, "JAM").factored
     for shape in ((4, 16), (16, 2, 2), (), (15,)):
         x = np.zeros(shape, dtype=np.int64)
-        for given in (x, x.astype(float)) + ((x.tolist(),) if shape else ()):
+        for given in (x, x.astype(float), x.tolist()):
             with pytest.raises(ValueError, match=r"shape \(16,\) or \(16, B\)"):
                 apply(ft, given)
 

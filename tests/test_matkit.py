@@ -151,6 +151,15 @@ def test_matrix_rejects_non_integral_input():
     assert DyadicMatrix(np.array([[True, False]])) == DyadicMatrix([[1, 0]])
 
 
+@pytest.mark.filterwarnings("error")
+def test_matrix_rejects_non_finite_input_without_a_cast_warning():
+    # NaN, infinities and floats past int64 raise before numpy's cast warns
+    for bad in (np.nan, np.inf, -np.inf, 1e30, -(2.0**63)):
+        with pytest.raises(ValueError, match="non-finite or out-of-range"):
+            DyadicMatrix([[1.0, bad]])
+    assert DyadicMatrix([[2.0**62 - 1024]]).numerators()[0, 0] == 2**62 - 1024
+
+
 def test_matrix_identity_zeros_blockdiag():
     eye = DyadicMatrix.identity(3)
     assert eye.to_real() == pytest.approx(np.eye(3))

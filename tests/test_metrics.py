@@ -57,6 +57,17 @@ def test_signal_model_autocovariance():
             assert np.array_equal(SignalModel(n, rho).autocovariance(), want)
 
 
+def test_autocovariance_is_shared_and_read_only():
+    rx = SignalModel(8, 0.95).autocovariance()
+    want = rx.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        rx[0, 1] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        rx += 1.0
+    again = SignalModel(8, 0.95).autocovariance()
+    assert again is rx and np.array_equal(again, want)
+
+
 def test_metric_report_fields():
     r = MetricReport(d=0.0, epsilon=1.0, mse=0.1, cg=8.0, eta=70.0, frob=0.3, adds=60, shifts=0)
     assert (r.adds, r.shifts) == (60, 0)
