@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matkit import DyadicMatrix
+from .matkit import DyadicMatrix, _integer
 
 SQRT2 = float(np.sqrt(2.0))
 SQRT2_OVER_2 = SQRT2 / 2.0
@@ -46,7 +46,10 @@ class StructuralKind(enum.Enum):
 
 
 def transform_matrix(kind: TransformKind, n: int) -> np.ndarray:
-    """The n x n orthonormal transform matrix for the requested kind; shared, so read-only."""
+    """The n x n orthonormal transform matrix for the requested kind; shared, so read-only.
+
+    ``n`` must be integral (8.0 is, 8.5 raises ValueError)."""
+    n = _integer(n)
     if n < 1:
         raise ValueError("transform size must be at least 1")
     return _transform_matrix(kind, n)

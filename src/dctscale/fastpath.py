@@ -16,7 +16,10 @@ an arithmetic-cost model where additions and shifts are counted per
 factor.  Any factor may carry a ``declared_cost`` in place of its counted
 one; a catalog leaf declares its published fast-algorithm count.
 
-:func:`apply` runs ints, bools and DyadicRationals exactly, the rest in float.
+:func:`apply` runs ints, bools, DyadicRationals and DyadicMatrix input exactly;
+each exact result is one :class:`DyadicMatrix`, int64 numerators over one
+power-of-two shift shaped like the input, (N,) or (N, B), which can be
+applied again.  The rest runs in float and comes back as a float64 array.
 Both paths run a :class:`Plan` built on first use by one rewrite pass: one flat
 list of numpy stages on the whole ``(..., N, B)`` array, each level's butterfly
 running once over all its blocks.  The rows run in a *pair order*, picked once
@@ -170,7 +173,7 @@ class Factor:
 
     # -- application -------------------------------------------------------
 
-    def apply_exact(self, x) -> list[DyadicRational] | DyadicMatrix:
+    def apply_exact(self, x) -> DyadicMatrix:
         return FactoredTransform(self.size, (self,)).apply_exact(x)
 
     def apply_real(self, x: np.ndarray) -> np.ndarray:
@@ -225,7 +228,7 @@ class FactoredTransform:
         """The compiled stages, built on first application and kept."""
         return Plan(self.size, [st for f in reversed(self.factors) for st in _compile(f)])
 
-    def apply_exact(self, x) -> list[DyadicRational] | DyadicMatrix:
+    def apply_exact(self, x) -> DyadicMatrix:
         return self.plan.apply_exact(x)
 
     def apply_real(self, x: np.ndarray) -> np.ndarray:
@@ -649,14 +652,14 @@ class Plan:
             x = st.run(x, buffers[i & 1])
         return x
 
-    def apply_exact(self, x) -> list[DyadicRational] | DyadicMatrix:
-        """Exact image of ints and DyadicRationals: a list for a vector, a DyadicMatrix for (N, B)."""
+    def apply_exact(self, x) -> DyadicMatrix:
+        """Exact image of ints and DyadicRationals, or of a DyadicMatrix, as a
+        DyadicMatrix shaped like the input: (N,) for a vector, (N, B) for a batch."""
         num, shift = aligned_numerators(x, self.growth)
         if num.ndim not in (1, 2) or num.shape[0] != self.size:
             raise ValueError(f"expected {self.size} rows, got shape {num.shape}")
-        if num.ndim == 2:
-            return DyadicMatrix(self.run(num), shift + self.shift)
-        return DyadicRational.from_numerators(self.run(num[:, None])[:, 0], shift + self.shift)
+        columns = num if num.ndim == 2 else num[:, None]
+        return DyadicMatrix(self.run(columns).reshape(num.shape), shift + self.shift)
 
     def apply_real(self, x: np.ndarray) -> np.ndarray:
         """Float image of a vector, or of axis -2 of an (..., N, B) array."""
@@ -678,13 +681,17 @@ class Plan:
         return "\n".join(self.lines())
 
 
-def apply(ft: FactoredTransform, x) -> list[DyadicRational] | DyadicMatrix | np.ndarray:
+def apply(ft: FactoredTransform, x) -> DyadicMatrix | np.ndarray:
     """Apply the factored transform to a vector or to the columns of a batch.
 
-    Integer, bool or dyadic-rational vectors, as lists or arrays, come back exact as
-    ``DyadicRational``s, and (N, B) batches of them as one ``DyadicMatrix``; exact
-    images past 62 bits raise OverflowError, complex input TypeError.  The rest runs in float.
+    A DyadicMatrix, and integer, bool or dyadic-rational values as lists or
+    arrays, come back exact as one DyadicMatrix shaped like the input, (N,)
+    or (N, B), so an exact result can be applied again; exact images past
+    62 bits raise OverflowError, complex input TypeError.  The rest runs in
+    float and comes back as a float64 array.
     """
+    if isinstance(x, DyadicMatrix):
+        return ft.apply_exact(x)
     values = np.asarray(x if isinstance(x, (list, tuple, np.ndarray)) or not np.iterable(x) else list(x))
     if values.ndim not in (1, 2) or values.shape[0] != ft.size:
         raise ValueError(f"expected length {ft.size}, shape ({ft.size},) or ({ft.size}, B), got {values.shape}")

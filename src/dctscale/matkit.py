@@ -8,7 +8,7 @@ of its own: it is a gather index array (``exact.perfect_shuffle``).
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -24,14 +24,15 @@ class DyadicRational:
     """A number of the form ``numerator / 2**shift``, kept in canonical form.
 
     Canonical means the numerator is odd whenever ``shift > 0`` and the
-    shift is zero when the numerator is zero.  Arithmetic is exact; building
-    a value whose numerator needs more than 62 bits raises OverflowError.
+    shift is zero when the numerator is zero.  Building a value whose
+    numerator needs more than 62 bits raises OverflowError.  Exact
+    arithmetic lives in :class:`DyadicMatrix`; this is one entry, read out.
     """
 
     __slots__ = ("numerator", "shift")
 
     def __init__(self, numerator: int, shift: int = 0):
-        # every arithmetic result arrives as plain ints; only other input is checked
+        # entries read from a DyadicMatrix arrive as plain ints; other input is checked
         if type(numerator) is not int or type(shift) is not int:
             numerator, shift = _integer(numerator), _integer(shift)
         if shift < 0:
@@ -81,62 +82,9 @@ class DyadicRational:
     def __hash__(self):
         return hash((self.numerator, self.shift))
 
-    def __neg__(self) -> "DyadicRational":
-        return DyadicRational(-self.numerator, self.shift)
-
-    def __abs__(self) -> "DyadicRational":
-        return DyadicRational(abs(self.numerator), self.shift)
-
-    def __add__(self, other) -> "DyadicRational":
-        if isinstance(other, int):
-            other = DyadicRational(other)
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        s = max(self.shift, other.shift)
-        num = (self.numerator << (s - self.shift)) + (
-            other.numerator << (s - other.shift)
-        )
-        return DyadicRational(num, s)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "DyadicRational":
-        return self + (-other if isinstance(other, DyadicRational) else -int(other))
-
-    def __rsub__(self, other) -> "DyadicRational":
-        return (-self) + other
-
-    def __mul__(self, other) -> "DyadicRational":
-        if isinstance(other, int):
-            other = DyadicRational(other)
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        return DyadicRational(
-            self.numerator * other.numerator, self.shift + other.shift
-        )
-
-    __rmul__ = __mul__
-
     def is_unit_magnitude(self) -> bool:
         """True when the value is +1 or -1 (applying it is free)."""
         return self.shift == 0 and abs(self.numerator) == 1
-
-    @classmethod
-    def from_numerators(cls, num: np.ndarray, shift: int) -> list["DyadicRational"]:
-        """Canonical values ``num[i] / 2**shift`` of an int64 vector.
-
-        Canonical forms come from :func:`canonical` in one vectorized pass,
-        so each value is built without re-running the reduction loop.
-        """
-        nums, shifts = canonical(num, shift)
-        new, put_num, put_shift = cls.__new__, cls.numerator.__set__, cls.shift.__set__
-        out = []
-        for n, s in zip(nums.tolist(), shifts.tolist()):
-            value = new(cls)
-            put_num(value, n)
-            put_shift(value, s)
-            out.append(value)
-        return out
 
     def __repr__(self) -> str:
         return f"DyadicRational({self})"
@@ -182,16 +130,19 @@ def canonical(num: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
     return num >> drop, shifts
 
 
-def aligned_numerators(values: Iterable, growth: int) -> tuple[np.ndarray, int]:
-    """int64 numerators of ints and DyadicRationals over their largest shift.
+def aligned_numerators(values, growth: int) -> tuple[np.ndarray, int]:
+    """int64 numerators of ``values`` over one shift, checked against ``growth``.
 
-    The values may have any shape; an integer array converts in one numpy
-    pass.  The largest numerator is checked against ``growth`` by
-    :func:`check_growth` before the int64 conversion, so no value wraps.
-    Other values raise TypeError.
+    A :class:`DyadicMatrix` gives its own numerators and shift.  Other values,
+    ints and DyadicRationals of any shape, go over their largest shift; an
+    integer array converts in one numpy pass.  The largest numerator is
+    checked against ``growth`` by :func:`check_growth` before the int64
+    conversion, so no value wraps.  Other values raise TypeError.
     """
-    arr = np.asarray(values)
-    shift = 0
+    if isinstance(values, DyadicMatrix):
+        arr, shift = values._num, values._shift
+    else:
+        arr, shift = np.asarray(values), 0
     if arr.dtype.kind == "O":
         shift = max((v.shift for v in arr.flat if isinstance(v, DyadicRational)), default=0)
         arr = np.array([_aligned(v, shift) for v in arr.flat], dtype=object).reshape(arr.shape)
@@ -228,8 +179,11 @@ def _as_int_array(values) -> np.ndarray:
     Integer and bool arrays are copied in one pass; other input, such as
     floats (2.0 is integral), is compared with its int64 image; floats
     without one (NaN, infinities, |x| >= 2**63) raise before the cast.
+    Complex input raises TypeError, even with a zero imaginary part.
     """
     arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise TypeError("expected integers, got complex input")
     if arr.dtype.kind == "f" and not np.all(np.abs(arr) < 2.0**63):
         raise ValueError("expected integers, got a non-finite or out-of-range value")
     ints = arr.astype(np.int64)
@@ -239,28 +193,35 @@ def _as_int_array(values) -> np.ndarray:
 
 
 class DyadicMatrix:
-    """Exact matrix of dyadic rationals.
+    """Exact matrix or vector of dyadic rationals.
 
-    Stored as an int64 numerator array over one common shift:
-    ``value[i, j] = num[i, j] / 2**shift``.  All arithmetic is exact;
-    numerators are capped at 62 bits (OverflowError beyond that).
+    Stored as an int64 numerator array of shape (N,) or (N, B) over one
+    common shift: ``value[i, j] = num[i, j] / 2**shift``.  All arithmetic is
+    exact; numerators are capped at 62 bits (OverflowError beyond that).  A
+    vector also reads as a sequence: ``len``, ``v[i]`` and iteration give
+    canonical DyadicRationals, built only when read, and ``v[a:b]`` a
+    DyadicMatrix.
     """
 
     __slots__ = ("_num", "_shift")
 
     def __init__(self, numerators, shift: int = 0):
         num = _as_int_array(numerators)
-        if num.ndim != 2:
-            raise ValueError("matrix data must be two-dimensional")
+        if num.ndim not in (1, 2):
+            raise ValueError("dyadic data must be one- or two-dimensional")
         shift = _integer(shift)
         if shift < 0:
             raise ValueError("shift must be non-negative")
-        # factor out common powers of two so entry shifts stay minimal
-        while shift > 0 and not np.any(num & 1):
-            num >>= 1
-            shift -= 1
-        if not np.any(num):
+        # factor out the powers of two all entries share, so entry shifts
+        # stay minimal: the lowest set bit of their OR, capped at ``shift``
+        common = int(np.bitwise_or.reduce(num, axis=None))
+        if common == 0:
             shift = 0
+        else:
+            drop = min((common & -common).bit_length() - 1, shift)
+            if drop:
+                num >>= drop
+                shift -= drop
         if int(np.abs(num).max(initial=0)) >= _NUM_LIMIT:
             raise OverflowError(
                 f"dyadic numerator exceeds {NUMERATOR_BITS} bits"
@@ -312,10 +273,12 @@ class DyadicMatrix:
 
     @property
     def cols(self) -> int:
+        if self._num.ndim != 2:
+            raise ValueError("a vector has no columns")
         return self._num.shape[1]
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self._num.shape
 
     @property
@@ -326,10 +289,27 @@ class DyadicMatrix:
     def entry(self, i: int, j: int) -> DyadicRational:
         return DyadicRational(int(self._num[i, j]), self._shift)
 
-    def entries(self) -> list[list[DyadicRational]]:
-        return [
-            [self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)
-        ]
+    def entries(self) -> list["DyadicMatrix"]:
+        """The rows as vectors; each reads as its canonical entries."""
+        return [DyadicMatrix(row, self._shift) for row in self._num]
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __getitem__(self, key) -> "DyadicRational | DyadicMatrix":
+        """``v[i]``, entry ``i`` of a vector, or ``v[a:b]``, a slice of rows."""
+        if isinstance(key, slice):
+            return DyadicMatrix(self._num[key], self._shift)
+        if self._num.ndim != 1:
+            raise TypeError("a matrix entry is read with entry(i, j)")
+        return DyadicRational(int(self._num[key]), self._shift)
+
+    def __iter__(self):
+        """The entries of a vector as canonical DyadicRationals, built as read."""
+        if self._num.ndim != 1:
+            raise TypeError("only a vector iterates over its entries")
+        nums, shifts = canonical(self._num, self._shift)
+        return map(DyadicRational, nums.tolist(), shifts.tolist())
 
     def numerators(self) -> np.ndarray:
         """Copy of the int64 numerator array (over ``2**self.shift``)."""
@@ -414,8 +394,9 @@ class DyadicMatrix:
         """
         return int(np.abs(self._num).sum(axis=1, dtype=object).max(initial=0))
 
-    def apply(self, x: Sequence) -> list[DyadicRational]:
-        """Exact matrix-vector product; ``x`` holds ints or DyadicRationals.
+    def apply(self, x) -> "DyadicMatrix":
+        """Exact matrix-vector product as a vector DyadicMatrix; ``x`` holds
+        ints or DyadicRationals, or is a vector DyadicMatrix.
 
         The inputs are aligned to one shift and multiplied as int64; inputs
         whose worst-case product could reach 62 bits raise OverflowError.
@@ -423,7 +404,7 @@ class DyadicMatrix:
         if len(x) != self.cols:
             raise ValueError("vector length mismatch")
         vec, shift = aligned_numerators(x, self.row_norm())
-        return DyadicRational.from_numerators(self._num @ vec, self._shift + shift)
+        return DyadicMatrix(self._num @ vec, self._shift + shift)
 
     def __repr__(self) -> str:
         return f"DyadicMatrix({self._num.tolist()}, shift={self._shift})"

@@ -78,6 +78,15 @@ def test_transform_size_validation():
         transform_matrix(TransformKind.DCT2, 0)
 
 
+def test_transform_size_must_be_integral():
+    # a fractional size must not build a rounded-up matrix far from
+    # orthonormal; an integral float is its int, down to the cached matrix
+    for kind in TransformKind:
+        with pytest.raises(ValueError, match="integer"):
+            transform_matrix(kind, 8.5)
+        assert transform_matrix(kind, 8.0) is transform_matrix(kind, 8)
+
+
 # ── structural factors ─────────────────────────────────────────────────────
 
 

@@ -113,6 +113,8 @@ def test_factor_validation():
     leaf = FactoredTransform(8, (Factor.leaf(RDCT.matrix),))
     with pytest.raises(ValueError, match="square"):
         Factor.leaf(DyadicMatrix(np.zeros((2, 3), dtype=np.int64)))
+    with pytest.raises(ValueError, match="no columns"):
+        Factor.leaf(DyadicMatrix(np.zeros(4, dtype=np.int64)))
     for index in ([0, 2], [-1, 0], [[0]]):
         with pytest.raises(ValueError, match="gather index"):
             Factor.gather(index)
@@ -148,6 +150,14 @@ def test_gather_rejects_non_finite_input_without_a_cast_warning():
             Factor.gather([bad, 0])
         with pytest.raises(ValueError, match="non-finite or out-of-range"):
             Factor.gather([1, 0], [bad, 1])
+
+
+@pytest.mark.filterwarnings("error")
+def test_gather_rejects_complex_input():
+    # as apply does: a zero imaginary part is no exemption
+    for args in (([1 + 0j, 0j],), ([1, 0], [1 + 0j, 1])):
+        with pytest.raises(TypeError, match="complex"):
+            Factor.gather(*args)
 
 
 def test_factor_costs():
@@ -317,7 +327,7 @@ def test_apply_integer_path_is_bit_exact():
     for _ in range(1000):
         x = rng.integers(-128, 128, size=16)
         out = apply(ft, [int(v) for v in x])
-        assert all(isinstance(v, DyadicRational) for v in out)
+        assert isinstance(out, DyadicMatrix) and out.shape == (16,)
         worst = max(worst, float(np.max(np.abs(_floats(out) - dense @ x))))
     assert worst == 0.0
 
@@ -326,7 +336,7 @@ def test_apply_dyadic_rational_input():
     ft = scale(SDCT.matrix, "VI").factored
     x = [DyadicRational(3, 1), DyadicRational(-5, 2)] + [DyadicRational(1)] * 14
     out = apply(ft, x)
-    assert all(isinstance(v, DyadicRational) for v in out)
+    assert isinstance(out, DyadicMatrix) and out.shape == (16,)
     assert _floats(out) == pytest.approx(ft.dense() @ _floats(x), abs=0)
 
 
@@ -351,8 +361,8 @@ def test_apply_integer_vector_array_is_exact():
     scaled = scale(SDCT.matrix, "III")
     x = np.arange(-8, 8, dtype=np.int32)
     out = apply(scaled.factored, x)
-    assert all(isinstance(v, DyadicRational) for v in out)
-    assert out == _dense_exact(scaled.dyadic.numerators(), scaled.dyadic.shift, x.tolist())
+    assert isinstance(out, DyadicMatrix) and out.shape == (16,)
+    assert list(out) == _dense_exact(scaled.dyadic.numerators(), scaled.dyadic.shift, x.tolist())
 
 
 def test_apply_integer_batch_returns_dyadic_matrix():
@@ -404,6 +414,55 @@ def test_object_batch_of_dyadic_rationals_is_exact():
     for batch in (values, values.tolist()):
         out = apply(scaled.factored, batch)
         assert isinstance(out, DyadicMatrix) and out == want
+
+
+def test_exact_results_chain_through_apply():
+    # an exact result goes back into apply: one transform after another is
+    # their composition, for a vector and for an (N, B) batch
+    a = scale_to(RDCT.matrix, 32, ("VII", "IV")).factored
+    b = scale_to(SDCT.matrix, 32, ("III", "JAM")).factored
+    x = np.random.default_rng(35).integers(-99, 99, size=(32, 4))
+    for given in (x, x[:, 0].tolist()):
+        inner = apply(b, given)
+        assert inner.shift > 0  # the second apply aligns a real shift
+        out = apply(a, inner)
+        assert isinstance(out, DyadicMatrix) and out.shape == np.shape(given)
+        assert out == apply(compose(a, b), given)
+
+
+def test_exact_apply_on_a_dyadic_matrix_is_the_dense_product():
+    ft = scale_to(RDCT.matrix, 32, ("VII", "III")).factored
+    rng = np.random.default_rng(36)
+    for shape in ((32,), (32, 3)):
+        dm = DyadicMatrix(rng.integers(-999, 999, size=shape), 5)
+        want = ft.dyadic() @ dm
+        assert ft.apply_exact(dm) == want
+        assert apply(ft, dm) == want
+        assert ft.factors[-1].apply_exact(dm) == ft.factors[-1].dyadic() @ dm
+    # the growth bound holds for DyadicMatrix input too
+    bound = ((1 << 62) - 1) // ft.plan.growth
+    with pytest.raises(OverflowError):
+        apply(ft, DyadicMatrix([bound + 1] + [0] * 31))
+    with pytest.raises(ValueError, match="expected 32 rows"):
+        apply(ft, DyadicMatrix([1] * 16))
+
+
+def test_exact_path_builds_no_dyadic_rational(monkeypatch):
+    # results are read lazily: applying, to ints or to an exact result,
+    # builds no per-entry object; reading one builds one per entry
+    ft = scale_to(RDCT.matrix, 64, ("VII", "III", "JAM")).factored
+    made = []
+    build = DyadicRational.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        build(self, *args)
+
+    monkeypatch.setattr(DyadicRational, "__init__", counted)
+    out = apply(ft, list(range(-32, 32)))
+    again = apply(ft, out)
+    assert made == []
+    assert len(list(again)) == 64 and len(made) == 64
 
 
 def test_plan_is_lazy_and_cached():
@@ -461,13 +520,13 @@ def test_bool_array_takes_the_exact_path_like_a_list():
     ft, num, shift = scaled.factored, scaled.dyadic.numerators(), scaled.dyadic.shift
     bits = np.array([True, False, False, True] * 8)
     from_array, from_list = apply(ft, bits), apply(ft, bits.tolist())
-    assert all(isinstance(v, DyadicRational) for v in from_array)
-    assert from_array == from_list == _dense_exact(num, shift, bits.astype(int).tolist())
+    assert isinstance(from_array, DyadicMatrix) and from_array == from_list
+    assert list(from_array) == _dense_exact(num, shift, bits.astype(int).tolist())
     batch = np.stack([bits, ~bits, bits[::-1]], axis=1)
     out = apply(ft, batch)
     assert isinstance(out, DyadicMatrix)
     assert out == scaled.dyadic @ DyadicMatrix(batch.astype(np.int64))
-    assert [row[0] for row in out.entries()] == from_list
+    assert [row[0] for row in out.entries()] == list(from_list)
 
 
 _ALIAS_CASES = {
@@ -553,7 +612,7 @@ def _check_against_dense(scaled, data) -> None:
     # integers up to the bound, with the bound itself attained
     x = data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
     x[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from((bound, -bound)))
-    assert apply(ft, x) == _dense_exact(num, shift, x)
+    assert list(apply(ft, x)) == _dense_exact(num, shift, x)
     # one step past the bound raises instead of wrapping
     x[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from((bound + 1, -bound - 1)))
     with pytest.raises(OverflowError):
@@ -566,7 +625,7 @@ def _check_against_dense(scaled, data) -> None:
     values = [DyadicRational(v, s) for v, s in zip(nums, shifts)]
     common = max(v.shift for v in values)
     aligned = [v.numerator << (common - v.shift) for v in values]
-    assert apply(ft, values) == _dense_exact(num, shift + common, aligned)
+    assert list(apply(ft, values)) == _dense_exact(num, shift + common, aligned)
     # the float path, one vector and one batch
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for xf in (rng.normal(size=n), rng.normal(size=(n, 7))):
@@ -605,7 +664,7 @@ def test_engine_heterogeneous_block_diag(members, levels, data):
     whole = ft.dyadic()
     n = ft.size
     x = data.draw(st.lists(st.integers(-(2**20), 2**20), min_size=n, max_size=n))
-    assert apply(ft, x) == _dense_exact(whole.numerators(), whole.shift, x)
+    assert list(apply(ft, x)) == _dense_exact(whole.numerators(), whole.shift, x)
     xf = np.random.default_rng(len(x)).normal(size=(n, 3))
     want = whole.to_real() @ xf
     assert np.max(np.abs(apply(ft, xf) - want)) <= 1e-9 * np.max(np.abs(want))
@@ -708,7 +767,7 @@ def test_pair_order_plans_match_the_dense_product():
         x = rng.integers(-bound, bound + 1, size=(n, 5))
         assert apply(ft, x) == scaled.dyadic @ DyadicMatrix(x)
         num, shift = scaled.dyadic.numerators(), scaled.dyadic.shift
-        assert apply(ft, x[:, 0]) == _dense_exact(num, shift, x[:, 0].tolist())
+        assert list(apply(ft, x[:, 0])) == _dense_exact(num, shift, x[:, 0].tolist())
         for xf in (rng.normal(size=(n, 64)), rng.normal(size=n)):
             want = scaled.dense @ xf
             assert np.max(np.abs(apply(ft, xf) - want)) <= 1e-9 * np.max(np.abs(want))
@@ -758,7 +817,7 @@ def test_pair_order_on_lone_and_composed_butterflies(ft):
     rng = np.random.default_rng(n)
     x = rng.integers(-999, 999, size=(n, 4))
     assert apply(ft, x) == ft.dyadic() @ DyadicMatrix(x)
-    assert apply(ft, x[:, 1]) == _dense_exact(ft.dyadic().numerators(), ft.dyadic().shift, x[:, 1].tolist())
+    assert list(apply(ft, x[:, 1])) == _dense_exact(ft.dyadic().numerators(), ft.dyadic().shift, x[:, 1].tolist())
     xf = rng.normal(size=(n, 64))
     assert np.allclose(apply(ft, xf), ft.dense() @ xf, rtol=0, atol=1e-9)
 
