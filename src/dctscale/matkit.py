@@ -222,7 +222,8 @@ class DyadicMatrix:
             if drop:
                 num >>= drop
                 shift -= drop
-        if int(np.abs(num).max(initial=0)) >= _NUM_LIMIT:
+        # both ends, as np.abs(-2**63) wraps to -2**63
+        if num.size and (num.max() >= _NUM_LIMIT or num.min() <= -_NUM_LIMIT):
             raise OverflowError(
                 f"dyadic numerator exceeds {NUMERATOR_BITS} bits"
             )

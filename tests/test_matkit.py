@@ -129,6 +129,11 @@ def test_matrix_constructor_validation():
         DyadicMatrix([[1]], -1)
     with pytest.raises(OverflowError):
         DyadicMatrix([[1 << 62]])
+    # the int64 minimum too, which np.abs leaves negative
+    for data in ([[-(1 << 63), 0]], [-(1 << 62)]):
+        with pytest.raises(OverflowError):
+            DyadicMatrix(data)
+    assert DyadicMatrix([-(1 << 63)], 2).numerators()[0] == -(1 << 61)
 
 
 def test_matrix_rejects_non_integral_input():
