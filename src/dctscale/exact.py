@@ -175,8 +175,10 @@ def structural_matrix(kind: StructuralKind, n: int):
 
     For PERFECT_SHUFFLE and BUTTERFLY, ``n`` is the half-size (the result is
     2n x 2n).  J/IBAR/Z, the two permutations and BUTTERFLY return
-    :class:`DyadicMatrix`; A, D, B, G return float arrays.
+    :class:`DyadicMatrix`; A, D, B, G return float arrays.  ``n`` must be
+    integral (8.0 is, 2.5 raises ValueError).
     """
+    n = _integer(n)
     if n < 1:
         raise ValueError("size must be at least 1")
     if kind is StructuralKind.J:

@@ -26,14 +26,15 @@ running once over all its blocks.  The rows run in a *pair order*, picked once
 by one gather in front of each run of butterflies, in which every butterfly
 finds the two rows it adds and subtracts half a block apart, so that each
 level is one add and one subtract over contiguous halves; as in Stockham's
-autosort FFT, no stage has to reorder the rows.  In that order up to four
-consecutive levels are one product with a ±1 Hadamard matrix, one BLAS call
-on float input where numpy would make a pass over the data per add and per
-subtract.  The plan tracks where each row sits as a signed permutation: the
-sign stages only change its signs, and the leaf takes it into its columns and
-the last gather into its index.  The stages work on numerators: integer input
-stays exact in int64 (the ``growth`` bound raises OverflowError before it
-could wrap), float input runs in float64.
+autosort FFT, no stage has to reorder the rows.  In that order each run of up
+to four consecutive levels is one matmul with a ±1 Hadamard matrix, one BLAS
+call on float input where numpy would make a pass over the data per add and
+per subtract.  The plan tracks where each row sits as a signed permutation:
+the sign stages only change its signs, and the leaf takes it into its columns
+and the last gather into its index.  The stages work on numerators: integer
+input stays exact (the ``growth`` bound raises OverflowError before int64
+could wrap), and an integer batch runs on the float64 stages where ``growth``
+proves them exact; float input runs in float64.
 """
 from __future__ import annotations
 
@@ -132,12 +133,14 @@ class Factor:
 
     @classmethod
     def block_diag(cls, block: "FactoredTransform", count: int) -> "Factor":
+        count = _integer(count)
         if count < 1:
             raise ValueError("block-diagonal factor needs at least one block")
         return cls(FactorKind.BLOCK_DIAG, count * block.size, block)
 
     @classmethod
     def butterfly(cls, size: int) -> "Factor":
+        size = _integer(size)
         if size < 2 or size % 2:
             raise ValueError("butterfly size must be a positive even number")
         return cls(FactorKind.BUTTERFLY, size)
@@ -341,10 +344,9 @@ class _Butterfly(_BlockStage):
     where those partners sit ``h`` rows apart, a level turns each block's top
     half ``t`` and bottom half ``b`` into ``[t + b, t - b]``, so the levels
     together are the ±1 Hadamard matrix of ``2**levels`` rows acting on each
-    first block cut into that many contiguous slices.  Float input, and one
-    column, run as one matmul with that matrix; wider integer input runs level
-    by level, one add and one subtract each, as numpy's integer matmul has no
-    BLAS."""
+    first block cut into that many contiguous slices, and the stage runs as
+    one matmul with that matrix: a BLAS call on float input, numpy's own loop
+    on int64."""
 
     shift = 0
 
@@ -361,24 +363,12 @@ class _Butterfly(_BlockStage):
         return _Butterfly(self.count, self.half, self.levels + 1) if below and self.levels < _LEVELS else None
 
     def run(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        out = np.empty(x.shape, x.dtype) if out is None else out
-        rows, cols = math.prod(x.shape[:-1]), x.shape[-1]  # explicit shapes: B may be 0
-        if x.dtype.kind == "f" or cols == 1:
-            k = 1 << self.levels
-            shape = (rows // (2 * self.half), k, 2 * self.half // k * cols)
-            h = self.hadamard_real if x.dtype.kind == "f" else self.hadamard
-            np.matmul(h, x.reshape(shape), out=out.reshape(shape))
-            return out
-        scratch = np.empty_like(out) if self.levels > 1 else None
-        buffers = (out, scratch) if self.levels % 2 else (scratch, out)
-        for i in range(self.levels):  # the last level writes ``out``
-            half = self.half >> i
-            shape = (rows // (2 * half), 2, half * cols)
-            a, y = x.reshape(shape), buffers[i % 2].reshape(shape)
-            np.add(a[:, 0], a[:, 1], out=y[:, 0])
-            np.subtract(a[:, 0], a[:, 1], out=y[:, 1])
-            x = buffers[i % 2]
-        return out
+        block = 2 * self.half
+        k = 1 << self.levels
+        shape = (math.prod(x.shape[:-1]) // block, k, block // k * x.shape[-1])  # explicit: B may be 0
+        h = self.hadamard_real if x.dtype.kind == "f" else self.hadamard
+        y = np.matmul(h, x.reshape(shape), out=None if out is None else out.reshape(shape))
+        return y.reshape(x.shape)
 
     def __str__(self) -> str:
         size = 2 * self.half
@@ -616,7 +606,10 @@ class Plan:
     inside a block-diag, and computes ``2**shift`` times its factor, so that
     integer input stays integer.  ``growth``, the product of the stages'
     largest row-L1 numerator norms, bounds ``max |output| / max |input|`` and
-    every intermediate ratio: the exact path proves with it that int64 cannot wrap.
+    every intermediate ratio.  The exact path proves with it that int64 cannot
+    wrap, and that a batch whose peak times ``growth`` stays below 2**53 is
+    exact on the float64 stages, which multiply by integers and by one power
+    of two (the last gather's ``2**-shift``).
 
     ``stages`` are in the factors' row order; they are tiled into the plans
     of enclosing block-diags, and ``shift`` and ``growth`` are theirs.  The
@@ -655,11 +648,17 @@ class Plan:
     def apply_exact(self, x) -> DyadicMatrix:
         """Exact image of ints and DyadicRationals, or of a DyadicMatrix, as a
         DyadicMatrix shaped like the input: (N,) for a vector, (N, B) for a batch."""
-        num, shift = aligned_numerators(x, self.growth)
+        num, shift, peak = aligned_numerators(x, self.growth)
         if num.ndim not in (1, 2) or num.shape[0] != self.size:
             raise ValueError(f"expected {self.size} rows, got shape {num.shape}")
         columns = num if num.ndim == 2 else num[:, None]
-        return DyadicMatrix(self.run(columns).reshape(num.shape), shift + self.shift)
+        # below 2**53 every float64 stage value and partial sum is an exact
+        # integer; one column is cheaper without the two conversions
+        if columns.shape[1] > 1 and peak * self.growth < 2**53:
+            out = (self.run(columns.astype(np.float64)) * 2.0**self.shift).astype(np.int64)
+        else:
+            out = self.run(columns)
+        return DyadicMatrix(out.reshape(num.shape), shift + self.shift)
 
     def apply_real(self, x: np.ndarray) -> np.ndarray:
         """Float image of a vector, or of axis -2 of an (..., N, B) array."""
@@ -667,11 +666,9 @@ class Plan:
         if x.dtype.kind == "c":
             raise TypeError("complex input: apply the transform to its real and imaginary parts")
         x = x.astype(np.float64, copy=False)
-        if x.ndim == 1:
-            return self.apply_real(x[:, None])[:, 0]
-        if x.ndim < 2 or x.shape[-2] != self.size:
+        if x.ndim < 1 or x.shape[0 if x.ndim == 1 else -2] != self.size:
             raise ValueError(f"expected {self.size} rows, got shape {x.shape}")
-        return self.run(x)
+        return self.run(x[:, None])[:, 0] if x.ndim == 1 else self.run(x)
 
     def lines(self) -> list[str]:
         head = f"plan N={self.size}, shift {self.shift}, growth {self.growth}:"

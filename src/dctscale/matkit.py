@@ -130,13 +130,14 @@ def canonical(num: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
     return num >> drop, shifts
 
 
-def aligned_numerators(values, growth: int) -> tuple[np.ndarray, int]:
-    """int64 numerators of ``values`` over one shift, checked against ``growth``.
+def aligned_numerators(values, growth: int) -> tuple[np.ndarray, int, int]:
+    """int64 numerators of ``values`` over one shift, and their peak magnitude.
 
     A :class:`DyadicMatrix` gives its own numerators and shift.  Other values,
     ints and DyadicRationals of any shape, go over their largest shift; an
-    integer array converts in one numpy pass.  The largest numerator is
-    checked against ``growth`` by :func:`check_growth` before the int64
+    integer array converts in one numpy pass.  ``peak`` bounds the input
+    magnitudes and ``growth`` the worst-case gain of a product: where their
+    product reaches 2**62, OverflowError is raised before the int64
     conversion, so no value wraps.  Other values raise TypeError.
     """
     if isinstance(values, DyadicMatrix):
@@ -148,8 +149,12 @@ def aligned_numerators(values, growth: int) -> tuple[np.ndarray, int]:
         arr = np.array([_aligned(v, shift) for v in arr.flat], dtype=object).reshape(arr.shape)
     elif arr.dtype.kind not in "iub":
         raise TypeError(f"exact application takes ints and DyadicRationals, got {arr.dtype}")
-    check_growth(max(int(arr.max()), -int(arr.min())) if arr.size else 0, growth)
-    return arr.astype(np.int64, copy=False), shift
+    peak = max(int(arr.max()), -int(arr.min())) if arr.size else 0
+    if peak * growth >= _NUM_LIMIT:
+        raise OverflowError(
+            f"input magnitude {peak} times worst-case growth {growth} reaches 2**{NUMERATOR_BITS}"
+        )
+    return arr.astype(np.int64, copy=False), shift, peak
 
 
 def _aligned(v, shift: int) -> int:
@@ -158,19 +163,6 @@ def _aligned(v, shift: int) -> int:
     if isinstance(v, (int, np.integer)):
         return int(v) << shift
     raise TypeError(f"exact application takes ints and DyadicRationals, got {type(v).__name__}")
-
-
-def check_growth(peak: int, growth: int) -> None:
-    """Raise OverflowError unless ``peak * growth`` stays below 2**62.
-
-    ``peak`` bounds the input magnitudes and ``growth`` the worst-case gain
-    of a product, so int64 arithmetic under this bound never wraps.
-    """
-    if peak * growth >= _NUM_LIMIT:
-        raise OverflowError(
-            f"input magnitude {peak} times worst-case growth {growth} "
-            f"reaches 2**{NUMERATOR_BITS}"
-        )
 
 
 def _as_int_array(values) -> np.ndarray:
@@ -317,7 +309,7 @@ class DyadicMatrix:
         return self._num.copy()
 
     def to_real(self) -> np.ndarray:
-        """Lossless float64 image (entries here are far below 2**53)."""
+        """float64 image, exact at each entry whose numerator is below 2**53."""
         return self._num.astype(np.float64) / float(1 << self._shift)
 
     def max_entry_shift(self) -> int:
@@ -404,7 +396,7 @@ class DyadicMatrix:
         """
         if len(x) != self.cols:
             raise ValueError("vector length mismatch")
-        vec, shift = aligned_numerators(x, self.row_norm())
+        vec, shift, _ = aligned_numerators(x, self.row_norm())
         return DyadicMatrix(self._num @ vec, self._shift + shift)
 
     def __repr__(self) -> str:

@@ -29,7 +29,7 @@ from dctscale.exact import (
     verify_identity,
 )
 from dctscale.fastpath import Factor
-from dctscale.matkit import DyadicMatrix
+from dctscale.matkit import DyadicMatrix, as_real
 
 SQRT2 = np.sqrt(2.0)
 
@@ -85,6 +85,11 @@ def test_transform_size_must_be_integral():
         with pytest.raises(ValueError, match="integer"):
             transform_matrix(kind, 8.5)
         assert transform_matrix(kind, 8.0) is transform_matrix(kind, 8)
+    # a structural factor of fractional size is refused, not cut to 3x3
+    for kind in StructuralKind:
+        with pytest.raises(ValueError, match="integer"):
+            structural_matrix(kind, 2.5)
+        assert np.array_equal(as_real(structural_matrix(kind, 8.0)), as_real(structural_matrix(kind, 8)))
 
 
 # ── structural factors ─────────────────────────────────────────────────────

@@ -34,6 +34,7 @@ from dctscale.fastpath import (
     Factor,
     FactoredTransform,
     FactorKind,
+    Plan,
     _Butterfly,
     _Dense,
     _Layout,
@@ -128,6 +129,14 @@ def test_factor_validation():
         Factor.butterfly(0)
     with pytest.raises(ValueError, match="at least one block"):
         Factor.block_diag(leaf, 0)
+    # fractional sizes are refused; integral floats are taken as their int
+    with pytest.raises(ValueError, match="integer"):
+        Factor.block_diag(leaf, 1.5)
+    with pytest.raises(ValueError, match="integer"):
+        Factor.butterfly(4.5)
+    assert Factor.block_diag(leaf, 2.0) == Factor.block_diag(leaf, 2)
+    assert Factor.butterfly(4.0) == Factor.butterfly(4)
+    assert apply(FactoredTransform(4, (Factor.butterfly(4.0),)), [1, 2, 3, 4]) == DyadicMatrix([5, 5, -1, -3])
 
 
 def test_gather_rejects_non_integral_input():
@@ -384,6 +393,9 @@ def test_apply_integer_array_shape_errors():
         for given in (x, x.astype(float), x.tolist()):
             with pytest.raises(ValueError, match=r"shape \(16,\) or \(16, B\)"):
                 apply(ft, given)
+    # apply_real names the shape it was given, not the one column made of it
+    with pytest.raises(ValueError, match=r"got shape \(15,\)"):
+        ft.apply_real(np.ones(15))
 
 
 def test_batches_come_back_exact_as_lists_or_arrays():
@@ -720,8 +732,8 @@ def test_pair_order_holds_every_level(levels):
         assert lines[k].split()[0] == "dense" and "columns in pair order" in lines[k]
         # a gather ends the plan only where the leaf blocks lie out of order
         assert [line.split()[0] for line in lines[k + 1 :]] in ([], ["gather"])
-        # wide integer input runs level by level; one integer column and float
-        # input run each stage as one product
+        # wide and one-column integer input and float input alike run each
+        # butterfly run as one ±1 product
         x = np.random.default_rng(n).integers(-99, 99, size=(n, 3))
         want = _skeleton_product(signed, x)
         assert np.array_equal(ft.plan.run(x), want)
@@ -774,6 +786,36 @@ def test_pair_order_plans_match_the_dense_product():
     digest = hashlib.sha256("\n".join(headers).encode()).hexdigest()
     assert len(headers) == 246
     assert digest == "94d68a4e180617901f8f63e7e673b95779eb93ea09816cb5e0844c85ed375c1c"
+
+
+def test_exact_batches_run_on_the_float_stages_below_2_53(monkeypatch):
+    # on every pair-order case, an (N, 33) int batch of peak 255 or
+    # 2**53 // growth - 1 runs on the float64 stages, and one of peak
+    # 2**53 // growth or (2**62 - 1) // growth on the int64 stages, as does
+    # one column (every growth here is a power of two, so 2**53 // growth is
+    # the bound itself); each output equals the int64 stages bit for bit, and
+    # one past the last peak still raises OverflowError
+    run, kinds = Plan.run, []
+
+    def spy(plan, x):
+        kinds.append(x.dtype.kind)
+        return run(plan, x)
+
+    monkeypatch.setattr(Plan, "run", spy)
+    rng = np.random.default_rng(53)
+    for approx, chain in _pair_order_cases():
+        plan = _built(approx, chain).factored.plan
+        g = plan.growth
+        for peak, kind in ((255, "f"), (2**53 // g - 1, "f"), (2**53 // g, "i"), (((1 << 62) - 1) // g, "i")):
+            x = rng.integers(-peak, peak + 1, size=(plan.size, 33))
+            x[0, 0] = peak
+            kinds.clear()
+            assert plan.apply_exact(x) == DyadicMatrix(run(plan, x), plan.shift)
+            assert plan.apply_exact(x[:, :1]) == DyadicMatrix(run(plan, x[:, :1]), plan.shift)
+            assert kinds == [kind, "i"], (approx, chain, peak)
+        x[0, 0] = peak + 1
+        with pytest.raises(OverflowError):
+            plan.apply_exact(x)
 
 
 def test_executed_plan_text_is_pinned():
