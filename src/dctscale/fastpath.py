@@ -308,11 +308,10 @@ class _Gather:
 
     def run(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         column = self._real if x.dtype.kind == "f" else self._column
-        if out is None and not self.unpermuted:
-            x = out = x[..., self.index, :]
-        elif not self.unpermuted:
-            # "clip" skips the bounds check, done when built, and its copy of ``out``
-            x = np.take(x, self.index, axis=-2, out=out, mode="clip")
+        if not self.unpermuted:
+            # the method skips np.take's dispatch; "clip" skips the bounds
+            # check, done when built, and the copy "raise" makes of ``out``
+            x = out = x.take(self.index, axis=-2, out=out, mode="clip")
         elif column is None:
             return np.positive(x, out=out)  # a bare shift only copies
         return x if column is None else np.multiply(x, column, out=out)
@@ -647,7 +646,9 @@ class Plan:
 
     def apply_exact(self, x) -> DyadicMatrix:
         """Exact image of ints and DyadicRationals, or of a DyadicMatrix, as a
-        DyadicMatrix shaped like the input: (N,) for a vector, (N, B) for a batch."""
+        DyadicMatrix shaped like the input: (N,) for a vector, (N, B) for a batch.
+        It adopts the stages' fresh output unchecked: ``aligned_numerators`` has
+        raised OverflowError where peak times ``growth`` reaches 2**62."""
         num, shift, peak = aligned_numerators(x, self.growth)
         if num.ndim not in (1, 2) or num.shape[0] != self.size:
             raise ValueError(f"expected {self.size} rows, got shape {num.shape}")
@@ -655,10 +656,11 @@ class Plan:
         # below 2**53 every float64 stage value and partial sum is an exact
         # integer; one column is cheaper without the two conversions
         if columns.shape[1] > 1 and peak * self.growth < 2**53:
-            out = (self.run(columns.astype(np.float64)) * 2.0**self.shift).astype(np.int64)
+            out = self.run(columns.astype(np.float64))
+            out = np.multiply(out, 2.0**self.shift, out=out).astype(np.int64)
         else:
             out = self.run(columns)
-        return DyadicMatrix(out.reshape(num.shape), shift + self.shift)
+        return DyadicMatrix._owning(out.reshape(num.shape), shift + self.shift)
 
     def apply_real(self, x: np.ndarray) -> np.ndarray:
         """Float image of a vector, or of axis -2 of an (..., N, B) array."""

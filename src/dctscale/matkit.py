@@ -184,6 +184,18 @@ def _as_int_array(values) -> np.ndarray:
     return ints
 
 
+def _reduce_common(num: np.ndarray, shift: int) -> int:
+    """Divide ``num`` in place by the powers of two all its entries share, up
+    to ``2**shift``, and return the shift left; with shift 0 none can go."""
+    common = int(np.bitwise_or.reduce(num, axis=None)) if shift else 0
+    if not common:
+        return 0
+    drop = min((common & -common).bit_length() - 1, shift)  # the lowest set bit
+    if drop:
+        num >>= drop
+    return shift - drop
+
+
 class DyadicMatrix:
     """Exact matrix or vector of dyadic rationals.
 
@@ -192,7 +204,9 @@ class DyadicMatrix:
     exact; numerators are capped at 62 bits (OverflowError beyond that).  A
     vector also reads as a sequence: ``len``, ``v[i]`` and iteration give
     canonical DyadicRationals, built only when read, and ``v[a:b]`` a
-    DyadicMatrix.
+    DyadicMatrix.  The constructor copies and checks its input; a plan's
+    exact result is adopted as it comes (:meth:`_owning`), since the plan's
+    ``growth`` has already bounded it below 2**62.
     """
 
     __slots__ = ("_num", "_shift")
@@ -204,23 +218,17 @@ class DyadicMatrix:
         shift = _integer(shift)
         if shift < 0:
             raise ValueError("shift must be non-negative")
-        # factor out the powers of two all entries share, so entry shifts
-        # stay minimal: the lowest set bit of their OR, capped at ``shift``
-        common = int(np.bitwise_or.reduce(num, axis=None))
-        if common == 0:
-            shift = 0
-        else:
-            drop = min((common & -common).bit_length() - 1, shift)
-            if drop:
-                num >>= drop
-                shift -= drop
+        self._num, self._shift = num, _reduce_common(num, shift)
         # both ends, as np.abs(-2**63) wraps to -2**63
         if num.size and (num.max() >= _NUM_LIMIT or num.min() <= -_NUM_LIMIT):
-            raise OverflowError(
-                f"dyadic numerator exceeds {NUMERATOR_BITS} bits"
-            )
-        self._num = num
-        self._shift = shift
+            raise OverflowError(f"dyadic numerator exceeds {NUMERATOR_BITS} bits")
+
+    @classmethod
+    def _owning(cls, num: np.ndarray, shift: int) -> "DyadicMatrix":
+        """Adopt ``num``, a fresh (N,) or (N, B) int64 array known to lie below 2**62."""
+        self = object.__new__(cls)
+        self._num, self._shift = num, _reduce_common(num, shift)
+        return self
 
     # -- constructors -------------------------------------------------
 

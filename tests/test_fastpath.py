@@ -581,7 +581,7 @@ def test_stages_never_write_into_or_return_the_input(name):
         assert np.array_equal(x, kept)
         for out in outs:
             if isinstance(out, DyadicMatrix):
-                out = out.numerators()
+                out = out._num  # the stored array: numerators() copies
             if isinstance(out, np.ndarray):
                 assert not np.shares_memory(out, x)
         got = outs[1]
@@ -591,6 +591,27 @@ def test_stages_never_write_into_or_return_the_input(name):
             got = got.to_real()
         want = np.einsum("ij,...jb->...ib", dense, x) if x.ndim == 3 else dense @ x
         assert np.allclose(got, want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", ["identity gather", "shift-only gather", "scaled VII/IV"])
+def test_adopted_results_never_share_the_callers_memory(name):
+    # the result's numerators are reduced in place, so they must never be
+    # the caller's: with no stages (the plan copies), a stage that only
+    # shifts, and a real plan, on even int64 arrays and on a DyadicMatrix
+    # built from even numerators over shift 3; ``numerators()`` copies, so
+    # the stored array is read
+    ft = _ALIAS_CASES[name]
+    rng = np.random.default_rng(5)
+    for shape in ((ft.size,), (ft.size, 4)):
+        ints = 2 * rng.integers(-99, 99, size=shape)
+        dm = DyadicMatrix(2 * rng.integers(-99, 99, size=shape), 3)
+        kept_ints, kept_num, kept_shift = ints.copy(), dm._num.copy(), dm.shift
+        for given, stored in ((ints, ints), (dm, dm._num)):
+            got = apply(ft, given)
+            assert not np.shares_memory(got._num, stored)
+            assert got == ft.dyadic() @ (given if isinstance(given, DyadicMatrix) else DyadicMatrix(given))
+        assert np.array_equal(ints, kept_ints)
+        assert np.array_equal(dm._num, kept_num) and dm.shift == kept_shift
 
 
 # ── differential properties: engine against the dense exact product ───────
@@ -816,6 +837,47 @@ def test_exact_batches_run_on_the_float_stages_below_2_53(monkeypatch):
         x[0, 0] = peak + 1
         with pytest.raises(OverflowError):
             plan.apply_exact(x)
+
+
+def test_adopted_results_keep_the_constructors_canonical_form():
+    # on every pair-order case, a vector and an (N, 33) batch of peak 255
+    # (the float64 stages for the batch) and of peak 2**53 // growth (the
+    # int64 stages), given as ints, as even ints, and as a DyadicMatrix built
+    # from even numerators over shift 3: the result has the shift and the
+    # numerators that the public constructor gives the raw stage output
+    rng = np.random.default_rng(14)
+    for approx, chain in _pair_order_cases():
+        ft = _built(approx, chain).factored
+        plan = ft.plan
+        for peak in (255, 2**53 // plan.growth):
+            x = rng.integers(-peak, peak + 1, size=(plan.size, 33))
+            x[0, 0] = peak
+            for given in (x, x[:, 0]):
+                for value in (given, 2 * given, DyadicMatrix(2 * given, 3)):
+                    num, shift = (value.numerators(), value.shift) if isinstance(value, DyadicMatrix) else (value, 0)
+                    raw = plan.run(num if num.ndim == 2 else num[:, None]).reshape(num.shape)
+                    want = DyadicMatrix(raw, shift + plan.shift)
+                    got = apply(ft, value)
+                    assert got.shift == want.shift, (approx, chain, peak)
+                    assert got.numerators().dtype == np.int64
+                    assert np.array_equal(got.numerators(), want.numerators()), (approx, chain, peak)
+
+
+def test_one_column_attains_the_growth_bound_exactly():
+    # a vector of peak (2**62 - 1) // growth, signed to reach the largest
+    # row-L1 norm of the dense numerators, is exact on every pair-order case
+    # although its result is adopted without a range check; one past the
+    # peak, at either sign, raises OverflowError
+    for approx, chain in _pair_order_cases():
+        scaled = _built(approx, chain)
+        ft, num, shift = scaled.factored, scaled.dyadic.numerators(), scaled.dyadic.shift
+        bound = ((1 << 62) - 1) // ft.plan.growth
+        row = num[np.argmax(np.abs(num).sum(axis=1))]
+        x = [bound if v >= 0 else -bound for v in row.tolist()]
+        assert list(apply(ft, x)) == _dense_exact(num, shift, x), (approx, chain)
+        for past in (bound + 1, -bound - 1):
+            with pytest.raises(OverflowError):
+                apply(ft, [past] + x[1:])
 
 
 def test_executed_plan_text_is_pinned():
