@@ -153,7 +153,7 @@ class Factor:
 
     def counted_cost(self) -> Cost:
         if self.kind is FactorKind.GATHER:
-            return self.payload.cost()
+            return self.payload.cost
         if self.kind is FactorKind.BUTTERFLY:
             return (self.size, 0)
         if self.kind is FactorKind.BLOCK_DIAG:
@@ -252,10 +252,14 @@ class FactoredTransform:
 
 class _Gather:
     """``y[i] = mult[i] * x[index[i]]`` over ``2**shift``, and on float input times
-    ``scale``.  A gather factor's payload and its plan stage are one object."""
+    ``scale``.  A gather factor's payload and its plan stage are one object,
+    which transforms may share (``scaler`` shares each doubling's gathers), so
+    its arrays are read-only and its cost is counted once."""
 
     def __init__(self, index, mult=None, shift: int = 0, scale: float = 1.0):
-        self.index = np.asarray(index, dtype=np.intp)
+        # ndarray.take copies a read-only index per call: the writable owner stays private
+        self._take = np.require(index, np.intp, "W")
+        self.index = self._take.view()
         self.unpermuted = bool(np.array_equal(self.index, np.arange(self.index.size)))
         mult = None if mult is None else np.asarray(mult, dtype=np.int64)
         self.mult = None if mult is None or np.all(mult == 1) else mult
@@ -264,6 +268,9 @@ class _Gather:
         self._real = self.multipliers()[:, None] * scale if scaled else None
         self.shift = shift
         self.norm = 1 if self.mult is None else int(np.abs(self.mult).max(initial=0))
+        for a in (self.index, self.mult, self._column, self._real):
+            if a is not None:
+                a.setflags(write=False)
 
     def multipliers(self) -> np.ndarray:
         return np.ones(self.index.size, np.int64) if self.mult is None else self.mult
@@ -272,6 +279,7 @@ class _Gather:
     def permutes(self) -> bool:
         return bool(np.array_equal(np.sort(self.index), np.arange(self.index.size)))
 
+    @cached_property
     def cost(self) -> Cost:
         """No adds; one shift per nonzero multiplier of magnitude other than 2**shift."""
         mag = np.abs(self.multipliers())
@@ -311,7 +319,7 @@ class _Gather:
         if not self.unpermuted:
             # the method skips np.take's dispatch; "clip" skips the bounds
             # check, done when built, and the copy "raise" makes of ``out``
-            x = out = x.take(self.index, axis=-2, out=out, mode="clip")
+            x = out = x.take(self._take, axis=-2, out=out, mode="clip")
         elif column is None:
             return np.positive(x, out=out)  # a bare shift only copies
         return x if column is None else np.multiply(x, column, out=out)

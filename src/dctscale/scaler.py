@@ -24,16 +24,21 @@ multiplied out, they are ``[T, T Ibar]`` and ``[B-hat T G-hat Ibar,
 the rows.  A dyadic B-hat is a signed row gather and G-hat a column sign,
 applied to one int64 numerator array over a common shift or to a float
 seed; 'exact' takes B_N T G_N as one N x N float product.  The index,
-multiplier and sign arrays (``_mixing``) are the gather factors of
+multiplier and sign arrays (``_doubling``) are the gather factors of
 ``P · bd(I, B-hat) · bd(T, T) · bd(I, G-hat) · Bf``, whose bd(T, T) is
 two copies of the level below, so no gather is expanded into an N x N
-matrix.  ``scale_to`` carries each level's dyadic matrix into the next
+matrix.  All factors but bd(T, T) depend on the method and N only:
+``_doubling`` builds those four and their arrays once per (method, N) in a
+bounded cache, and every seed's doubling shares them, so they are
+read-only.  ``scale_to`` carries each level's dyadic matrix into the next
 and orthogonalizes the final level only; ``scale`` of a factored seed
 takes the seed's matrix from its compiled plan.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +52,7 @@ from .exact import (
 from .fastpath import Factor, FactoredTransform
 from .matkit import (
     DyadicMatrix,
+    _integer,
     as_real,
     is_diagonal,
     is_generalized_permutation,
@@ -66,8 +72,16 @@ def normalize_method(method: str) -> str:
     )
 
 
-def _mixing(mid: str, half: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """(index, mult, shift, signs) of a dyadic method at half-size ``half``.
+# the method-only part of a dyadic doubling at half-size N: P's gather index,
+# B-hat's and G-hat's arrays, and P, bd(I, B-hat), bd(I, G-hat) and Bf as factors
+_Doubling = namedtuple("_Doubling", "shuffle index mult shift signs factors")
+
+
+@lru_cache(maxsize=128)  # above 8 methods x 10 half-sizes 1...512, so a sweep never evicts
+def _doubling(mid: str, half: int) -> _Doubling:
+    """The method-only part of a dyadic doubling at half-size ``half``, built
+    once per (method, half-size) and shared by every seed's doubling, so every
+    array in it, the gathers' own included, is read-only.
 
     Row i of B-hat holds its single entry ``mult[i] / 2**shift`` at column
     ``index[i]``; G-hat is ``diag(signs)``.  Along DYADIC_METHOD_IDS, B-hat
@@ -79,18 +93,26 @@ def _mixing(mid: str, half: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarra
     ones = np.ones(half, dtype=np.int64)
     alternating = 1 - 2 * (rows % 2)  # the diagonal of J
     signs = alternating if g_is_j else ones
-    if b_kind == 0:  # I
-        return rows, ones, 0, signs
-    index = rows[::-1]
-    if b_kind == 1:  # Ibar
-        return index, ones, 0, signs
-    mult = -alternating[index]
-    if b_kind == 2:  # -Ibar J
-        return index, mult, 0, signs
-    # -Ibar Z J: Z halves column 0, which the last row of Ibar gathers
-    mult *= 2
-    mult[-1] //= 2
-    return index, mult, 1, signs
+    index = rows[::-1] if b_kind else rows  # Ibar, or I
+    mult = -alternating[index] if b_kind > 1 else ones  # -Ibar J; I and Ibar are unsigned
+    shift = int(b_kind == 3)
+    if shift:  # -Ibar Z J: Z halves column 0, which the last row of Ibar gathers
+        mult *= 2
+        mult[-1] //= 2
+    shuffle = perfect_shuffle(half)
+    for a in (shuffle, index, mult, signs):
+        a.setflags(write=False)
+    # the half-magnitude entry of methods III/VII (shift 1) is absorbed by the
+    # final rescaling, so their mixing stage is declared shift-free
+    mixing = Factor.gather(
+        np.concatenate([rows, half + index]),
+        np.concatenate([ones << shift, mult]),
+        shift,
+        declared_cost=(0, 0) if shift else None,
+    )
+    sign = Factor.gather(np.arange(2 * half), np.concatenate([ones, signs]))
+    factors = (Factor.gather(shuffle), mixing, sign, Factor.butterfly(2 * half))
+    return _Doubling(shuffle, index, mult, shift, signs, factors)
 
 
 def method_blocks(method: str, half: int):
@@ -102,9 +124,9 @@ def method_blocks(method: str, half: int):
     mid = normalize_method(method)
     if mid == "exact":
         return counter_mixing(half), signed_cosine_diagonal(half)
-    index, mult, shift, signs = _mixing(mid, half)
-    b_hat = Factor.gather(index, mult, shift).dyadic()
-    return b_hat, Factor.gather(np.arange(half), signs).dyadic()
+    lv = _doubling(mid, _integer(half))
+    b_hat = Factor.gather(lv.index, lv.mult, lv.shift).dyadic()
+    return b_hat, Factor.gather(np.arange(half), lv.signs).dyadic()
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,35 +203,20 @@ def _stack_halves(top: np.ndarray, low: np.ndarray, shuffle: np.ndarray) -> np.n
 
 
 def _double_dyadic(block: FactoredTransform, t: DyadicMatrix, mid: str):
-    """One dyadic doubling: (index-built DyadicMatrix, its FactoredTransform)."""
+    """One dyadic doubling: (index-built DyadicMatrix, its FactoredTransform).
+
+    Only the stacked numerators (checked by the public constructor) and
+    bd(T, T) are built here.  The shuffle, mixing and sign gathers and the
+    butterfly come from ``_doubling``, cached on (method, half-size) and
+    shared by every seed's doubling there, hence read-only.
+    """
     n = t.rows
-    shuffle = perfect_shuffle(n)
-    index, mult, b_shift, signs = _mixing(mid, n)
-
+    lv = _doubling(mid, n)
     num = t.numerators()
-    low = mult[:, None] * (num * signs)[index]
-    dyadic = DyadicMatrix(_stack_halves(num << b_shift, low, shuffle), t.shift + b_shift)
-
-    ones = np.ones(n, dtype=np.int64)
-    # the half-magnitude entry of methods III/VII (b_shift 1) is absorbed
-    # by the final rescaling, so their mixing stage is declared shift-free
-    mixing = Factor.gather(
-        np.concatenate([np.arange(n), n + index]),
-        np.concatenate([ones << b_shift, mult]),
-        b_shift,
-        declared_cost=(0, 0) if b_shift else None,
-    )
-    factored = FactoredTransform(
-        2 * n,
-        (
-            Factor.gather(shuffle),
-            mixing,
-            Factor.block_diag(block, 2),
-            Factor.gather(np.arange(2 * n), np.concatenate([ones, signs])),
-            Factor.butterfly(2 * n),
-        ),
-    )
-    return dyadic, factored
+    low = lv.mult[:, None] * (num * lv.signs)[lv.index]
+    dyadic = DyadicMatrix(_stack_halves(num << lv.shift, low, lv.shuffle), t.shift + lv.shift)
+    shuffle, mixing, sign, bf = lv.factors
+    return dyadic, FactoredTransform(2 * n, (shuffle, mixing, Factor.block_diag(block, 2), sign, bf))
 
 
 def _double_real(t: np.ndarray, mid: str) -> np.ndarray:
@@ -218,10 +225,9 @@ def _double_real(t: np.ndarray, mid: str) -> np.ndarray:
     n = t.shape[0]
     if mid == "exact":
         low = counter_mixing(n) @ t * np.diag(signed_cosine_diagonal(n))
-    else:
-        index, mult, b_shift, signs = _mixing(mid, n)
-        low = mult[:, None] * (t * signs)[index] * 0.5**b_shift
-    return _stack_halves(t, low, perfect_shuffle(n))
+        return _stack_halves(t, low, perfect_shuffle(n))
+    lv = _doubling(mid, n)
+    return _stack_halves(t, lv.mult[:, None] * (t * lv.signs)[lv.index] * 0.5**lv.shift, lv.shuffle)
 
 
 def _double(seed: _Level, mid: str) -> _Level:

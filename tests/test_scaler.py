@@ -7,7 +7,9 @@ doubling, and the float doubling of every method, are checked against the
 literal product of the five factors; the float64 error of a chained
 'exact' doubling is pinned.  The cost recurrence, orthogonality and
 method-pair collapse are checked on random members and per-level chains
-up to N = 1024.
+up to N = 1024.  The method-only factors of a doubling, shared per
+(method, half-size), are checked read-only, against builds from a cleared
+cache, and against eviction over a full sweep.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from dctscale.exact import (
 from dctscale.fastpath import FactoredTransform
 from dctscale.matkit import DyadicMatrix, as_real, frobenius_distance
 from dctscale.scaler import (
+    _doubling,
     DYADIC_METHOD_IDS,
     METHOD_IDS,
     check_orthogonality,
@@ -531,3 +534,82 @@ def test_orthogonalize_scales_rows_like_the_diagonal_product():
             for size in (16, 128):
                 scaled = scale_to(t, size, method)
                 assert np.array_equal(scaled.c_hat, scaled.sigma @ scaled.dense)
+
+
+# ── the shared method-only part of a doubling ─────────────────────────────
+
+
+def _shared_arrays(mid: str, half: int) -> list[np.ndarray]:
+    """Every array ``_doubling`` hands out: its own and its gathers'."""
+    lv = _doubling(mid, half)
+    arrays = [lv.shuffle, lv.index, lv.mult, lv.signs]
+    for f in lv.factors[:3]:
+        g = f.payload
+        arrays += [a for a in (g.index, g.mult, g._column, g._real) if a is not None]
+    return arrays
+
+
+@pytest.mark.parametrize("method", DYADIC_METHOD_IDS)
+def test_shared_doubling_arrays_are_read_only(method):
+    for half in (1, 4, 32):
+        arrays = _shared_arrays(method, half)
+        want = [a.copy() for a in arrays]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 7
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 3
+        again = _shared_arrays(method, half)
+        assert all(b is a for a, b in zip(arrays, again))
+        assert all(np.array_equal(a, w) for a, w in zip(again, want))
+    # a seed's doubling hands out the same gathers, as read-only
+    factored = scale_to(catalog.load("rdct").matrix, 16, method).factored
+    for f in factored.factors[:2]:
+        with pytest.raises(ValueError, match="read-only"):
+            f.payload.index[0] = 1
+
+
+def _build(approx_id: str, size: int, method) -> tuple:
+    entry = catalog.load(approx_id)
+    st = scale_to(entry.matrix, size, method, base_cost=(entry.baseline_adds, entry.baseline_shifts))
+    return st, (
+        st.dyadic.numerators().tobytes(),
+        st.dyadic.shift,
+        st.c_hat.tobytes(),
+        st.factored.cost(),
+        st.factored.describe(),
+        str(st.factored.plan),
+    )
+
+
+def test_shared_doublings_match_builds_from_a_cleared_cache():
+    rng = np.random.default_rng(15)
+    cases = [(a, n, m) for n in (16, 32, 64) for m in DYADIC_METHOD_IDS for a in catalog.APPROXIMATION_IDS]
+    for size in (128, 256):
+        cases += [("bas2", size, tuple(rng.choice(DYADIC_METHOD_IDS, size=size.bit_length() - 4)))]
+    shared = {case: _build(*case) for case in cases}
+    for case in cases:
+        _doubling.cache_clear()
+        assert _build(*case)[1] == shared[case][1], case
+    # the members at one (method, N) share the doubling's four method-only
+    # factors, whose gather costs are counted once and kept
+    for n in (16, 32, 64):
+        for m in DYADIC_METHOD_IDS:
+            first, *rest = (shared[(a, n, m)][0].factored.factors for a in catalog.APPROXIMATION_IDS)
+            for factors in rest:
+                assert all(factors[k] is first[k] for k in (0, 1, 3, 4)), (n, m)
+                assert factors[2] is not first[2]
+            assert all("cost" in first[k].payload.__dict__ for k in (0, 1, 3))
+
+
+def test_doubling_cache_holds_a_full_sweep():
+    # 8 methods x 7 levels from 8 to 1024 points: the second pass is all hits
+    t = catalog.load("rdct").matrix
+    _doubling.cache_clear()
+    for expected_misses in (7 * len(DYADIC_METHOD_IDS), 0):
+        before = _doubling.cache_info().misses
+        for method in DYADIC_METHOD_IDS:
+            scale_to(t, 1024, method)
+            info = _doubling.cache_info()
+            assert info.currsize <= info.maxsize
+        assert _doubling.cache_info().misses - before == expected_misses
