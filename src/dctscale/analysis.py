@@ -21,11 +21,11 @@ from .matkit import frobenius_distance
 from .metrics import (
     MetricReport,
     SignalModel,
-    coding_gain,
+    _efficiency,
+    _gain_and_covariance,
     deviation_from_orthogonality,
     mse,
     total_error_energy,
-    transform_efficiency,
 )
 from .scaler import DYADIC_METHOD_IDS, normalize_method, scale, scale_to
 
@@ -129,12 +129,13 @@ def evaluate(approx_id: str, method: str, size: int = 16, rho: float = 0.95) -> 
     model = SignalModel(size=size, rho=rho)
     adds, shifts = scaled.factored.cost()
     frob = frobenius_distance(scaled.c_hat, exact)
+    cg, ry = _gain_and_covariance(scaled.c_hat, model)  # one R_Y for cg and eta
     return MetricReport(
         d=deviation_from_orthogonality(scaled.c_hat),
         epsilon=total_error_energy(scaled.c_hat, exact),
         mse=mse(scaled.c_hat, exact, model),
-        cg=coding_gain(scaled.c_hat, model),
-        eta=transform_efficiency(scaled.c_hat, model),
+        cg=cg,
+        eta=_efficiency(ry),
         frob=frob,
         adds=adds,
         shifts=shifts,

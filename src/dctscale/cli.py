@@ -123,7 +123,10 @@ def _cmd_metrics(args) -> tuple[str, int]:
     return line + "\n", 0
 
 
-def _read_vectors(path: Path, size: int) -> list[list[str]]:
+def _read_vectors(path: Path, size: int) -> list[tuple[int, list[str]]]:
+    """The (line number, tokens) of each non-blank line of ``path``."""
+    if path.is_dir():
+        raise _CliError(f"input is a directory, not a file: {path}")
     if not path.is_file():
         raise _CliError(f"input file not found: {path}")
     vectors = []
@@ -135,7 +138,7 @@ def _read_vectors(path: Path, size: int) -> list[list[str]]:
             raise _CliError(
                 f"line {lineno}: expected {size} values, got {len(tokens)}"
             )
-        vectors.append(tokens)
+        vectors.append((lineno, tokens))
     if not vectors:
         raise _CliError(f"no vectors found in {path}")
     return vectors
@@ -150,7 +153,7 @@ def _cmd_apply(args) -> tuple[str, int]:
         if scaled.factored is None:
             raise _CliError("--int needs a dyadic method (JAM or I..VII)")
         rows = []
-        for tokens in vectors:
+        for _, tokens in vectors:
             try:
                 rows.append([int(t) for t in tokens])
             except ValueError:
@@ -165,9 +168,14 @@ def _cmd_apply(args) -> tuple[str, int]:
         for col_nums, col_shifts in zip(nums.T.tolist(), shifts.T.tolist()):
             lines.append(" ".join(map(dyadic_str, col_nums, col_shifts)))
     else:
-        for tokens in vectors:
+        for lineno, tokens in vectors:
             vec = np.array([float(t) for t in tokens])
-            result = scaled.dense @ vec
+            if not np.all(np.isfinite(vec)):
+                raise _CliError(f"line {lineno}: inputs must be finite numbers")
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = scaled.dense @ vec
+            if not np.all(np.isfinite(result)):
+                raise _CliError(f"line {lineno}: the transformed vector overflows float64")
             lines.append(" ".join(f"{v:.10g}" for v in result))
     return "\n".join(lines) + "\n", 0
 

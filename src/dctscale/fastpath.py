@@ -655,20 +655,25 @@ class Plan:
     def apply_exact(self, x) -> DyadicMatrix:
         """Exact image of ints and DyadicRationals, or of a DyadicMatrix, as a
         DyadicMatrix shaped like the input: (N,) for a vector, (N, B) for a batch.
-        It adopts the stages' fresh output unchecked: ``aligned_numerators`` has
-        raised OverflowError where peak times ``growth`` reaches 2**62."""
+
+        One pass: ``aligned_numerators`` converts once and takes a vector's
+        peak from one reduction, the shape is checked once, and a vector runs
+        as one column on the int64 stages.  The stages' fresh output is adopted
+        unchecked, with one common-power-of-two reduction: ``aligned_numerators``
+        has raised OverflowError where peak times ``growth`` reaches 2**62."""
         num, shift, peak = aligned_numerators(x, self.growth)
-        if num.ndim not in (1, 2) or num.shape[0] != self.size:
-            raise ValueError(f"expected {self.size} rows, got shape {num.shape}")
-        columns = num if num.ndim == 2 else num[:, None]
-        # below 2**53 every float64 stage value and partial sum is an exact
-        # integer; one column is cheaper without the two conversions
-        if columns.shape[1] > 1 and peak * self.growth < 2**53:
-            out = self.run(columns.astype(np.float64))
+        _check_rows(num.shape, self.size)
+        # one column is cheaper on the int64 stages than with two conversions;
+        # a wider batch below 2**53 is exact on the float64 stages, where
+        # every stage value and partial sum is an integer
+        if num.ndim == 1:
+            out = self.run(num[:, None]).ravel()
+        elif num.shape[1] > 1 and peak * self.growth < 2**53:
+            out = self.run(num.astype(np.float64))
             out = np.multiply(out, 2.0**self.shift, out=out).astype(np.int64)
         else:
-            out = self.run(columns)
-        return DyadicMatrix._owning(out.reshape(num.shape), shift + self.shift)
+            out = self.run(num)
+        return DyadicMatrix._owning(out, shift + self.shift)
 
     def apply_real(self, x: np.ndarray) -> np.ndarray:
         """Float image of a vector, or of axis -2 of an (..., N, B) array."""
@@ -699,15 +704,23 @@ def apply(ft: FactoredTransform, x) -> DyadicMatrix | np.ndarray:
     """
     if isinstance(x, DyadicMatrix):
         return ft.apply_exact(x)
-    values = np.asarray(x if isinstance(x, (list, tuple, np.ndarray)) or not np.iterable(x) else list(x))
-    if values.ndim not in (1, 2) or values.shape[0] != ft.size:
-        raise ValueError(f"expected length {ft.size}, shape ({ft.size},) or ({ft.size}, B), got {values.shape}")
+    seq = x if isinstance(x, (list, tuple, np.ndarray)) or not np.iterable(x) else list(x)
+    values = np.asarray(seq)
     kind = values.dtype.kind
+    if kind == "f" and not isinstance(seq, np.ndarray):
+        values, kind = np.array(seq, dtype=object), "O"  # ints past int64 make numpy pick float64
     if kind == "O" and all(isinstance(v, (int, np.integer, DyadicRational)) for v in values.flat):
         kind = "i"
     if kind in "iub":
-        return ft.apply_exact(values)
+        return ft.apply_exact(values)  # checks the shape
+    _check_rows(values.shape, ft.size)
     return ft.apply_real(values.astype(float) if kind == "O" else values)
+
+
+def _check_rows(shape: tuple, size: int) -> None:
+    """ValueError unless ``shape`` is (size,) or (size, B)."""
+    if len(shape) not in (1, 2) or shape[0] != size:
+        raise ValueError(f"expected {size} rows: length {size}, shape ({size},) or ({size}, B), got {shape}")
 
 
 def compose(a: FactoredTransform, b: FactoredTransform) -> FactoredTransform:

@@ -15,6 +15,8 @@ import numpy as np
 #: Numerators beyond this many bits raise OverflowError instead of wrapping.
 NUMERATOR_BITS = 62
 _NUM_LIMIT = 1 << NUMERATOR_BITS
+_INT64 = np.dtype(np.int64)
+_UNSIGNED = {n: np.dtype(f"u{n}") for n in (1, 2, 4, 8)}
 
 #: Default tolerance for float comparisons throughout the package.
 DEFAULT_TOL = 1e-10
@@ -135,26 +137,36 @@ def aligned_numerators(values, growth: int) -> tuple[np.ndarray, int, int]:
 
     A :class:`DyadicMatrix` gives its own numerators and shift.  Other values,
     ints and DyadicRationals of any shape, go over their largest shift; an
-    integer array converts in one numpy pass.  ``peak`` bounds the input
-    magnitudes and ``growth`` the worst-case gain of a product: where their
-    product reaches 2**62, OverflowError is raised before the int64
-    conversion, so no value wraps.  Other values raise TypeError.
+    array is taken as it is, and an int64 one is not copied.  ``peak`` is the
+    largest magnitude: a vector's comes from one reduction, of ``abs`` read
+    as unsigned, and a batch's from ``max`` and ``min``, which make no
+    temporary the size of the batch; both hold at -2**63 and for uint64 at
+    or above 2**63, which the int64 conversion, made after the check, would
+    wrap.  ``growth`` bounds the worst-case gain of a product: where
+    ``peak`` times ``growth`` reaches 2**62, OverflowError is raised.
+    Other values raise TypeError.
     """
     if isinstance(values, DyadicMatrix):
         arr, shift = values._num, values._shift
     else:
-        arr, shift = np.asarray(values), 0
+        arr, shift = values if isinstance(values, np.ndarray) else np.asarray(values), 0
     if arr.dtype.kind == "O":
         shift = max((v.shift for v in arr.flat if isinstance(v, DyadicRational)), default=0)
         arr = np.array([_aligned(v, shift) for v in arr.flat], dtype=object).reshape(arr.shape)
     elif arr.dtype.kind not in "iub":
         raise TypeError(f"exact application takes ints and DyadicRationals, got {arr.dtype}")
-    peak = max(int(arr.max()), -int(arr.min())) if arr.size else 0
+    if not arr.size:
+        peak = 0
+    elif arr.ndim == 1:  # one reduction, of abs read as unsigned: abs leaves a signed minimum negative
+        mag = np.abs(arr)
+        peak = int(np.maximum.reduce(mag.view(_UNSIGNED[mag.itemsize]) if mag.dtype.kind == "i" else mag))
+    else:  # two reductions, and no temporary the size of the batch
+        peak = max(int(arr.max()), -int(arr.min()))
     if peak * growth >= _NUM_LIMIT:
         raise OverflowError(
             f"input magnitude {peak} times worst-case growth {growth} reaches 2**{NUMERATOR_BITS}"
         )
-    return arr.astype(np.int64, copy=False), shift, peak
+    return arr if arr.dtype is _INT64 else arr.astype(np.int64), shift, peak
 
 
 def _aligned(v, shift: int) -> int:

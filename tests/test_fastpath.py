@@ -614,6 +614,38 @@ def test_adopted_results_never_share_the_callers_memory(name):
         assert np.array_equal(dm._num, kept_num) and dm.shift == kept_shift
 
 
+@pytest.mark.parametrize("name", ["identity gather", "scaled VII/IV"])
+def test_exact_front_door_overflow_edges(name):
+    # the peak is one reduction of abs read as unsigned: it must still see
+    # -2**63 (which abs leaves negative) and uint64 at or above 2**63 (which
+    # int64 would wrap), as a vector, an (N, 3) batch and a Python list;
+    # inputs are never changed, on a plan with no stages as on a real one
+    ft = _ALIAS_CASES[name]
+    n = ft.size
+    assert (name == "identity gather") == (not ft.plan.stages)
+    for dtype, value in ((np.int64, -(2**63)), (np.uint64, 2**63), (np.uint64, 2**64 - 1)):
+        for shape in ((n,), (n, 3)):
+            x = np.zeros(shape, dtype)
+            x[n - 1] = value
+            kept = x.copy()
+            for given in (x, x.tolist()):
+                with pytest.raises(OverflowError):
+                    apply(ft, given)
+            assert np.array_equal(x, kept) and x.dtype == dtype
+    # the same magnitudes just inside the bound, and an int8 -128, which abs
+    # also leaves negative, run exactly and leave the input as it was
+    bound = ((1 << 62) - 1) // ft.plan.growth
+    for dtype, value in ((np.int64, -bound), (np.uint64, bound), (np.int8, -128), (np.int64, -2)):
+        for shape in ((n,), (n, 3)):
+            x = np.zeros(shape, dtype)
+            x[n - 1] = value
+            x[0] = 2
+            kept = x.copy()
+            got = apply(ft, x)
+            assert got == ft.dyadic() @ DyadicMatrix(x.astype(object))
+            assert np.array_equal(x, kept) and not np.shares_memory(got._num, x)
+
+
 # ── differential properties: engine against the dense exact product ───────
 
 

@@ -235,3 +235,26 @@ def test_row_permutation_invariance():
             total_error_energy(a, C16), abs=1e-12
         )
         assert mse(pa, pc, MODEL16) == pytest.approx(mse(a, C16, MODEL16), abs=1e-12)
+
+
+def test_evaluate_takes_cg_and_eta_from_one_output_covariance(monkeypatch):
+    # evaluate forms R_Y once for both figures, which equal the public
+    # coding_gain and transform_efficiency bit for bit
+    from dctscale import analysis, metrics
+    from dctscale.scaler import scale_to
+
+    formed = []
+    form = metrics._output_covariance
+
+    def counted(m, rx):
+        formed.append(m.shape)
+        return form(m, rx)
+
+    monkeypatch.setattr(metrics, "_output_covariance", counted)
+    for approx_id, method, size in (("rdct", "JAM", 16), ("bas1", "VI", 32), ("abdct", "I", 64)):
+        formed.clear()
+        report = analysis.evaluate(approx_id, method, size=size)
+        assert formed == [(size, size)]
+        c_hat = scale_to(catalog.load(approx_id).matrix, size, method).c_hat
+        assert report.cg == coding_gain(c_hat, SignalModel(size))
+        assert report.eta == transform_efficiency(c_hat, SignalModel(size))
