@@ -127,8 +127,10 @@ def _read_vectors(path: Path, size: int) -> list[tuple[int, list[str]]]:
     """The (line number, tokens) of each non-blank line of ``path``."""
     if path.is_dir():
         raise _CliError(f"input is a directory, not a file: {path}")
-    if not path.is_file():
+    if not path.exists():
         raise _CliError(f"input file not found: {path}")
+    if not path.is_file():
+        raise _CliError(f"input is not a regular file: {path}")
     vectors = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         tokens = raw.split()

@@ -6,9 +6,10 @@ butterfly, and the real matrices A, B, D, G that make the doubling
 factorization exact) all live here, together with a registry of the seven
 matrix identities the factorizations rest on.
 
-The two permutations are 1-D gather indices in the ``Factor.gather``
-convention, ``P @ x == x[index]``; ``structural_matrix`` expands them into
-a :class:`DyadicMatrix`.
+J, Ibar and Z are gather triples ``(index, mult, shift)`` and the two
+permutations gather indices, in the ``Factor.gather`` convention
+(``P @ x == x[index]``), and ``gather_matrix`` is the one expansion of a
+gather into a :class:`DyadicMatrix`.  ``scaler`` doubles with these triples.
 """
 from __future__ import annotations
 
@@ -76,32 +77,37 @@ def _transform_matrix(kind: TransformKind, n: int) -> np.ndarray:
 # -- dyadic structural factors -------------------------------------------
 
 
-def sign_diagonal(n: int) -> DyadicMatrix:
-    """diag((-1)^n) -- alternating-sign diagonal."""
-    return DyadicMatrix(np.diag((-1) ** np.arange(n)).astype(np.int64))
+def sign_diagonal(n: int) -> tuple:
+    """J = diag((-1)^k), the alternating-sign diagonal."""
+    rows = np.arange(n)
+    return rows, 1 - 2 * (rows % 2), 0
 
 
-def counter_identity(n: int) -> DyadicMatrix:
-    """Unit anti-diagonal (reverses coordinate order)."""
-    return DyadicMatrix(np.fliplr(np.eye(n, dtype=np.int64)))
+def counter_identity(n: int) -> tuple:
+    """Ibar, the unit anti-diagonal: it reverses the coordinate order."""
+    return np.arange(n)[::-1], None, 0
 
 
-def half_leading_diagonal(n: int) -> DyadicMatrix:
-    """diag(1/2, 1, ..., 1)."""
-    num = 2 * np.eye(n, dtype=np.int64)
-    num[0, 0] = 1
-    return DyadicMatrix(num, 1)
+def half_leading_diagonal(n: int) -> tuple:
+    """Z = diag(1/2, 1, ..., 1)."""
+    rows = np.arange(n)
+    return rows, np.where(rows, 2, 1), 1
+
+
+def gather_matrix(index, mult=None, shift: int = 0) -> DyadicMatrix:
+    """The matrix M with ``M @ x == mult * x[index] / 2**shift``; mult None is all ones."""
+    n = len(index)
+    num = np.zeros((n, n), dtype=np.int64)
+    num[np.arange(n), index] = 1 if mult is None else mult
+    return DyadicMatrix(num, shift)
 
 
 def butterfly(half: int) -> DyadicMatrix:
-    """The 2N x 2N factor [[I, Ibar], [Ibar, -I]] for N = half."""
+    """[[I, Ibar], [Ibar, -I]] for N = half: diag(I, -I) plus the 2N-point reversal."""
     if half < 1:
         raise ValueError("butterfly half-size must be at least 1")
-    eye = np.eye(half, dtype=np.int64)
-    rev = np.fliplr(eye)
-    top = np.hstack([eye, rev])
-    bot = np.hstack([rev, -eye])
-    return DyadicMatrix(np.vstack([top, bot]))
+    signs = np.repeat([1, -1], half)
+    return gather_matrix(np.arange(2 * half), signs) + gather_matrix(*counter_identity(2 * half))
 
 
 def perfect_shuffle(half: int) -> np.ndarray:
@@ -128,11 +134,6 @@ def bit_reversal(n: int) -> np.ndarray:
     return index
 
 
-def _gather_matrix(index: np.ndarray) -> DyadicMatrix:
-    """The permutation matrix P with ``P @ x == x[index]``."""
-    return DyadicMatrix(np.eye(index.size, dtype=np.int64)[index])
-
-
 # -- real structural factors ----------------------------------------------
 
 
@@ -146,14 +147,14 @@ def _tril_u(n: int) -> np.ndarray:
 
 def lower_mixing(n: int) -> np.ndarray:
     """A_N = J * tril(U) * J with U = ones * [sqrt(2)/2, ones^T]."""
-    j = sign_diagonal(n).to_real()
-    return j @ _tril_u(n) @ j
+    j = sign_diagonal(n)[1]
+    # J flips signs; + 0.0 turns a flipped zero's -0 into the +0 of a matrix product
+    return j[:, None] * _tril_u(n) * j + 0.0
+
 
 def counter_mixing(n: int) -> np.ndarray:
     """B_N = -Ibar * tril(U) * J; first column constant -sqrt(2)/2."""
-    rev = counter_identity(n).to_real()
-    j = sign_diagonal(n).to_real()
-    return -rev @ _tril_u(n) @ j
+    return -_tril_u(n)[counter_identity(n)[0]] * sign_diagonal(n)[1] + 0.0
 
 
 def cosine_diagonal(n: int) -> np.ndarray:
@@ -163,11 +164,8 @@ def cosine_diagonal(n: int) -> np.ndarray:
 
 
 def signed_cosine_diagonal(n: int) -> np.ndarray:
-    """G_N = diag(2 (-1)^n cos((2n+1) pi / (4N)))."""
-    idx = np.arange(n)
-    return np.diag(
-        2.0 * (-1.0) ** idx * np.cos((2 * idx + 1) * np.pi / (4 * n))
-    )
+    """G_N = J D_N = diag(2 (-1)^n cos((2n+1) pi / (4N)))."""
+    return np.diag(sign_diagonal(n)[1] * np.diag(cosine_diagonal(n)))
 
 
 def structural_matrix(kind: StructuralKind, n: int):
@@ -182,11 +180,11 @@ def structural_matrix(kind: StructuralKind, n: int):
     if n < 1:
         raise ValueError("size must be at least 1")
     if kind is StructuralKind.J:
-        return sign_diagonal(n)
+        return gather_matrix(*sign_diagonal(n))
     if kind is StructuralKind.IBAR:
-        return counter_identity(n)
+        return gather_matrix(*counter_identity(n))
     if kind is StructuralKind.Z:
-        return half_leading_diagonal(n)
+        return gather_matrix(*half_leading_diagonal(n))
     if kind is StructuralKind.A:
         return lower_mixing(n)
     if kind is StructuralKind.D:
@@ -196,9 +194,9 @@ def structural_matrix(kind: StructuralKind, n: int):
     if kind is StructuralKind.G:
         return signed_cosine_diagonal(n)
     if kind is StructuralKind.PERFECT_SHUFFLE:
-        return _gather_matrix(perfect_shuffle(n))
+        return gather_matrix(perfect_shuffle(n))
     if kind is StructuralKind.BIT_REVERSAL:
-        return _gather_matrix(bit_reversal(n))
+        return gather_matrix(bit_reversal(n))
     if kind is StructuralKind.BUTTERFLY:
         return butterfly(n)
     raise ValueError(f"unknown structural kind: {kind!r}")
@@ -218,16 +216,16 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _dst4_from_dct4(n: int) -> float:
     lhs = transform_matrix(TransformKind.DST4, n)
     rhs = (
-        counter_identity(n).to_real()
+        gather_matrix(*counter_identity(n)).to_real()
         @ transform_matrix(TransformKind.DCT4, n)
-        @ sign_diagonal(n).to_real()
+        @ gather_matrix(*sign_diagonal(n)).to_real()
     )
     return _residual(lhs, rhs)
 
 
 def _dct4_counter(n: int) -> float:
-    lhs = transform_matrix(TransformKind.DCT4, n) @ counter_identity(n).to_real()
-    rhs = sign_diagonal(n).to_real() @ transform_matrix(TransformKind.DST4, n)
+    lhs = transform_matrix(TransformKind.DCT4, n) @ gather_matrix(*counter_identity(n)).to_real()
+    rhs = gather_matrix(*sign_diagonal(n)).to_real() @ transform_matrix(TransformKind.DST4, n)
     return _residual(lhs, rhs)
 
 
@@ -242,35 +240,35 @@ def _dct4_from_dct2(n: int) -> float:
 
 
 def _doubling_rhs(n: int, lower_block: np.ndarray) -> np.ndarray:
-    p = _gather_matrix(perfect_shuffle(n)).to_real()
+    p = gather_matrix(perfect_shuffle(n)).to_real()
     mid = _block_diag(transform_matrix(TransformKind.DCT2, n), lower_block)
     return SQRT2_OVER_2 * p @ mid @ butterfly(n).to_real()
 
 
 def _odd_even_exact(n: int) -> float:
     lhs = transform_matrix(TransformKind.DCT2, 2 * n)
-    lower = sign_diagonal(n).to_real() @ transform_matrix(TransformKind.DST4, n)
+    lower = gather_matrix(*sign_diagonal(n)).to_real() @ transform_matrix(TransformKind.DST4, n)
     return _residual(lhs, _doubling_rhs(n, lower))
 
 
 def _chen_simplified(n: int) -> float:
     lhs = transform_matrix(TransformKind.DCT2, 2 * n)
-    lower = transform_matrix(TransformKind.DCT4, n) @ counter_identity(n).to_real()
+    lower = transform_matrix(TransformKind.DCT4, n) @ gather_matrix(*counter_identity(n)).to_real()
     return _residual(lhs, _doubling_rhs(n, lower))
 
 
 def _shuffle_bitrev(n: int) -> float:
     # P_2N = R_2N * blockdiag(R_N, R_N); exact in integer arithmetic
-    lhs = _gather_matrix(perfect_shuffle(n))
-    rn = _gather_matrix(bit_reversal(n))
-    rhs = _gather_matrix(bit_reversal(2 * n)) @ DyadicMatrix.block_diag(rn, rn)
+    lhs = gather_matrix(perfect_shuffle(n))
+    rn = gather_matrix(bit_reversal(n))
+    rhs = gather_matrix(bit_reversal(2 * n)) @ DyadicMatrix.block_diag(rn, rn)
     return float(np.max(np.abs(lhs.to_real() - rhs.to_real())))
 
 
 def _prop1_factorization(n: int) -> float:
     lhs = transform_matrix(TransformKind.DCT2, 2 * n)
     c2 = transform_matrix(TransformKind.DCT2, n)
-    p = _gather_matrix(perfect_shuffle(n)).to_real()
+    p = gather_matrix(perfect_shuffle(n)).to_real()
     eye = np.eye(n)
     rhs = (
         SQRT2_OVER_2

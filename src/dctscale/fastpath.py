@@ -47,7 +47,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .exact import butterfly
+from .exact import butterfly, gather_matrix
 from .matkit import (
     NUMERATOR_BITS,
     DyadicMatrix,
@@ -166,7 +166,7 @@ class Factor:
 
     def dyadic(self) -> DyadicMatrix:
         if self.kind is FactorKind.GATHER:
-            return self.payload.dyadic()
+            return gather_matrix(self.payload.index, self.payload.mult, self.payload.shift)
         if self.kind is FactorKind.BUTTERFLY:
             return butterfly(self.size // 2)
         if self.kind is FactorKind.BLOCK_DIAG:
@@ -284,12 +284,6 @@ class _Gather:
         """No adds; one shift per nonzero multiplier of magnitude other than 2**shift."""
         mag = np.abs(self.multipliers())
         return (0, int(np.count_nonzero((mag != 0) & (mag != 1 << self.shift))))
-
-    def dyadic(self) -> DyadicMatrix:
-        n = self.index.size
-        num = np.zeros((n, n), dtype=np.int64)
-        num[np.arange(n), self.index] = self.multipliers()
-        return DyadicMatrix(num, self.shift)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, _Gather):

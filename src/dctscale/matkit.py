@@ -18,9 +18,6 @@ _NUM_LIMIT = 1 << NUMERATOR_BITS
 _INT64 = np.dtype(np.int64)
 _UNSIGNED = {n: np.dtype(f"u{n}") for n in (1, 2, 4, 8)}
 
-#: Default tolerance for float comparisons throughout the package.
-DEFAULT_TOL = 1e-10
-
 
 class DyadicRational:
     """A number of the form ``numerator / 2**shift``, kept in canonical form.

@@ -23,16 +23,17 @@ multiplied out, they are ``[T, T Ibar]`` and ``[B-hat T G-hat Ibar,
 -B-hat T G-hat]``, Ibar a column reversal, and the perfect shuffle gathers
 the rows.  A dyadic B-hat is a signed row gather and G-hat a column sign,
 applied to one int64 numerator array over a common shift or to a float
-seed; 'exact' takes B_N T G_N as one N x N float product.  The index,
-multiplier and sign arrays (``_doubling``) are the gather factors of
-``P · bd(I, B-hat) · bd(T, T) · bd(I, G-hat) · Bf``, whose bd(T, T) is
-two copies of the level below, so no gather is expanded into an N x N
-matrix.  All factors but bd(T, T) depend on the method and N only:
-``_doubling`` builds those four and their arrays once per (method, N) in a
-bounded cache, and every seed's doubling shares them, so they are
-read-only.  ``scale_to`` carries each level's dyadic matrix into the next
-and orthogonalizes the final level only; ``scale`` of a factored seed
-takes the seed's matrix from its compiled plan.
+seed; 'exact' takes B_N T G_N as one N x N float product.  ``_doubling``
+reads the index, multiplier and sign arrays from the gather triples of J,
+Ibar and Z in ``exact``, with no sign, reversal or halving arithmetic of its
+own; they are the gather factors of ``P · bd(I, B-hat) · bd(T, T) ·
+bd(I, G-hat) · Bf``, whose bd(T, T) is two copies of the level below, so
+no gather is expanded into an N x N matrix.  All factors but bd(T, T)
+depend on the method and N only: ``_doubling`` builds those four and their
+arrays once per (method, N) in a bounded cache, and every seed's doubling
+shares them, so they are read-only.  ``scale_to`` carries each level's
+dyadic matrix into the next and orthogonalizes the final level only;
+``scale`` of a factored seed takes the seed's matrix from its compiled plan.
 """
 from __future__ import annotations
 
@@ -45,8 +46,12 @@ import numpy as np
 
 from .catalog import orthogonalize
 from .exact import (
+    counter_identity,
     counter_mixing,
+    gather_matrix,
+    half_leading_diagonal,
     perfect_shuffle,
+    sign_diagonal,
     signed_cosine_diagonal,
 )
 from .fastpath import Factor, FactoredTransform
@@ -83,22 +88,20 @@ def _doubling(mid: str, half: int) -> _Doubling:
     once per (method, half-size) and shared by every seed's doubling, so every
     array in it, the gathers' own included, is read-only.
 
-    Row i of B-hat holds its single entry ``mult[i] / 2**shift`` at column
-    ``index[i]``; G-hat is ``diag(signs)``.  Along DYADIC_METHOD_IDS, B-hat
+    B-hat is the gather triple ``(index, mult, shift)`` and G-hat ``diag(signs)``,
+    read from the J, Ibar and Z of ``exact``.  Along DYADIC_METHOD_IDS, B-hat
     runs through I, Ibar, -Ibar J, -Ibar Z J twice, and G-hat is I for the
     first four methods and J for the last four, as in the module registry.
     """
     g_is_j, b_kind = divmod(DYADIC_METHOD_IDS.index(mid), 4)
-    rows = np.arange(half)
+    rows, j, _ = sign_diagonal(half)
+    _, z, z_shift = half_leading_diagonal(half)
     ones = np.ones(half, dtype=np.int64)
-    alternating = 1 - 2 * (rows % 2)  # the diagonal of J
-    signs = alternating if g_is_j else ones
-    index = rows[::-1] if b_kind else rows  # Ibar, or I
-    mult = -alternating[index] if b_kind > 1 else ones  # -Ibar J; I and Ibar are unsigned
-    shift = int(b_kind == 3)
-    if shift:  # -Ibar Z J: Z halves column 0, which the last row of Ibar gathers
-        mult *= 2
-        mult[-1] //= 2
+    # B-hat is I or Ibar D / 2**shift, D one of I, -J, -Z J: Ibar reads D's rows in reverse
+    d, shift = ((ones, 0), (ones, 0), (-j, 0), (-z * j, z_shift))[b_kind]
+    index = counter_identity(half)[0] if b_kind else rows
+    mult = d[index]
+    signs = j if g_is_j else ones
     shuffle = perfect_shuffle(half)
     for a in (shuffle, index, mult, signs):
         a.setflags(write=False)
@@ -122,11 +125,13 @@ def method_blocks(method: str, half: int):
     mixing blocks of the exact factorization.
     """
     mid = normalize_method(method)
+    half = _integer(half)
+    if half < 1:
+        raise ValueError("half-size must be at least 1")
     if mid == "exact":
         return counter_mixing(half), signed_cosine_diagonal(half)
-    lv = _doubling(mid, _integer(half))
-    b_hat = Factor.gather(lv.index, lv.mult, lv.shift).dyadic()
-    return b_hat, Factor.gather(np.arange(half), lv.signs).dyadic()
+    lv = _doubling(mid, half)
+    return gather_matrix(lv.index, lv.mult, lv.shift), gather_matrix(np.arange(half), lv.signs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,7 @@ string matches; error paths must exit with status 2 and a one-line
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -377,6 +378,7 @@ def test_apply_tells_a_directory_from_a_missing_file(capsys, tmp_path):
     for given, message in (
         (tmp_path, f"input is a directory, not a file: {tmp_path}"),
         (tmp_path / "missing.txt", f"input file not found: {tmp_path / 'missing.txt'}"),
+        (os.devnull, f"input is not a regular file: {os.devnull}"),
     ):
         for extra in ([], ["--int"]):
             code, out, err = _run(capsys, argv + [str(given)] + extra)

@@ -17,12 +17,9 @@ from dctscale.exact import (
     bit_reversal,
     butterfly,
     cosine_diagonal,
-    counter_identity,
     counter_mixing,
-    half_leading_diagonal,
     lower_mixing,
     perfect_shuffle,
-    sign_diagonal,
     signed_cosine_diagonal,
     structural_matrix,
     transform_matrix,
@@ -54,9 +51,9 @@ def test_transforms_are_orthonormal():
 def test_dst4_from_dct4_relation():
     s4 = transform_matrix(TransformKind.DST4, 8)
     rhs = (
-        counter_identity(8).to_real()
+        structural_matrix(StructuralKind.IBAR, 8).to_real()
         @ transform_matrix(TransformKind.DCT4, 8)
-        @ sign_diagonal(8).to_real()
+        @ structural_matrix(StructuralKind.J, 8).to_real()
     )
     assert np.max(np.abs(s4 - rhs)) < 1e-12
 
@@ -96,14 +93,14 @@ def test_transform_size_must_be_integral():
 
 
 def test_sign_diagonal_and_counter_identity():
-    j = sign_diagonal(4)
+    j = structural_matrix(StructuralKind.J, 4)
     assert j.to_real() == pytest.approx(np.diag([1.0, -1.0, 1.0, -1.0]))
-    ibar = counter_identity(3)
+    ibar = structural_matrix(StructuralKind.IBAR, 3)
     assert ibar.to_real() == pytest.approx(np.fliplr(np.eye(3)))
 
 
 def test_half_leading_diagonal():
-    z = half_leading_diagonal(4)
+    z = structural_matrix(StructuralKind.Z, 4)
     assert z.to_real() == pytest.approx(np.diag([0.5, 1.0, 1.0, 1.0]))
     assert z.entry(0, 0).shift == 1
 
@@ -196,13 +193,39 @@ def test_cosine_and_lower_mixing_relation():
     n = 8
     a = lower_mixing(n)
     b = counter_mixing(n)
-    j = sign_diagonal(n).to_real()
-    ibar = counter_identity(n).to_real()
+    j = structural_matrix(StructuralKind.J, n).to_real()
+    ibar = structural_matrix(StructuralKind.IBAR, n).to_real()
     assert b == pytest.approx(-ibar @ j @ a, abs=1e-15)
     d = cosine_diagonal(n)
     assert np.diag(d) == pytest.approx(
         2.0 * np.cos((2 * np.arange(n) + 1) * np.pi / (4 * n))
     )
+
+
+def test_gather_expansions_match_closed_forms():
+    for n in range(1, 34):
+        k = np.arange(n)
+        z = np.eye(n)
+        z[0, 0] = 0.5
+        for kind, want in (
+            (StructuralKind.J, np.diag((-1.0) ** k)),
+            (StructuralKind.IBAR, np.fliplr(np.eye(n))),
+            (StructuralKind.Z, z),
+        ):
+            assert np.array_equal(structural_matrix(kind, n).to_real(), want), (kind, n)
+
+
+def test_mixing_blocks_match_float_products_byte_for_byte():
+    # J and Ibar are applied as flips; the bytes, down to the sign of every
+    # zero, are those of the float matrix products A = J L J and B = -Ibar L J
+    for n in range(1, 65):
+        row = np.ones(n)
+        row[0] = SQRT2_OVER_2
+        tril_u = np.tril(np.ones((n, 1)) * row)
+        j = structural_matrix(StructuralKind.J, n).to_real()
+        ibar = structural_matrix(StructuralKind.IBAR, n).to_real()
+        assert lower_mixing(n).tobytes() == (j @ tril_u @ j).tobytes(), n
+        assert counter_mixing(n).tobytes() == (-ibar @ tril_u @ j).tobytes(), n
 
 
 def test_structural_matrix_dispatch_types():
@@ -265,7 +288,8 @@ def test_identity_unknown_name():
 def test_dct4_counter_to_doubling_block():
     # C4 Ibar = B C2 G: the bridge between the two doubling forms
     for n in (2, 4, 8, 16):
-        lhs = transform_matrix(TransformKind.DCT4, n) @ counter_identity(n).to_real()
+        ibar = structural_matrix(StructuralKind.IBAR, n).to_real()
+        lhs = transform_matrix(TransformKind.DCT4, n) @ ibar
         rhs = (
             counter_mixing(n)
             @ transform_matrix(TransformKind.DCT2, n)

@@ -24,10 +24,7 @@ from dctscale import catalog
 from dctscale.exact import (
     StructuralKind,
     butterfly,
-    counter_identity,
-    half_leading_diagonal,
     perfect_shuffle,
-    sign_diagonal,
     structural_matrix,
 )
 from dctscale.fastpath import (
@@ -60,9 +57,13 @@ def _floats(values):
 
 def test_count_dense_dyadic():
     assert count_dense_dyadic(DyadicMatrix.identity(8)) == (0, 0)
-    assert count_dense_dyadic(sign_diagonal(8)) == (0, 0)
+    assert count_dense_dyadic(structural_matrix(StructuralKind.J, 8)) == (0, 0)
     # one 1/2-magnitude entry -> a single shift, no adds
-    mix = -(counter_identity(8) @ half_leading_diagonal(8) @ sign_diagonal(8))
+    mix = -(
+        structural_matrix(StructuralKind.IBAR, 8)
+        @ structural_matrix(StructuralKind.Z, 8)
+        @ structural_matrix(StructuralKind.J, 8)
+    )
     assert count_dense_dyadic(mix) == (0, 1)
     # dense butterfly: two nonzeros per row -> one add each, all unit entries
     assert count_dense_dyadic(butterfly(4)) == (8, 0)
@@ -190,7 +191,11 @@ def test_factor_dyadic_views():
     rows = np.arange(8)
     mult = -2 * (-1) ** rows[::-1]
     mult[-1] //= 2
-    mix = -(counter_identity(8) @ half_leading_diagonal(8) @ sign_diagonal(8))
+    mix = -(
+        structural_matrix(StructuralKind.IBAR, 8)
+        @ structural_matrix(StructuralKind.Z, 8)
+        @ structural_matrix(StructuralKind.J, 8)
+    )
     assert Factor.gather(rows[::-1], mult, 1).dyadic() == mix
     leaf = FactoredTransform(8, (Factor.leaf(RDCT.matrix),))
     stacked = Factor.block_diag(leaf, 2)

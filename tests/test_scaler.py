@@ -25,11 +25,8 @@ from dctscale.exact import (
     TransformKind,
     bit_reversal,
     butterfly,
-    counter_identity,
     counter_mixing,
-    half_leading_diagonal,
     perfect_shuffle,
-    sign_diagonal,
     signed_cosine_diagonal,
     structural_matrix,
     transform_matrix,
@@ -100,6 +97,13 @@ def test_method_blocks_shapes_and_values():
     b_exact, g_exact = method_blocks("exact", half)
     assert b_exact == pytest.approx(counter_mixing(half))
     assert g_exact == pytest.approx(signed_cosine_diagonal(half))
+    # every method converts and checks the half-size the same way
+    for method in ("exact", "VI"):
+        b_hat, _ = method_blocks(method, 4.0)
+        assert as_real(b_hat) == pytest.approx(as_real(method_blocks(method, 4)[0]))
+        for bad in (0, -1, 2.5):
+            with pytest.raises(ValueError):
+                method_blocks(method, bad)
 
 
 # ── single doubling ────────────────────────────────────────────────────────
@@ -343,9 +347,9 @@ def test_orthogonality_flag_is_sufficient(method):
 def _reference_blocks(method: str, n: int) -> tuple[DyadicMatrix, DyadicMatrix]:
     """(B-hat, G-hat) as products of the exact structural factors."""
     ident = DyadicMatrix.identity(n)
-    ibar = counter_identity(n)
-    j = sign_diagonal(n)
-    z = half_leading_diagonal(n)
+    ibar = structural_matrix(StructuralKind.IBAR, n)
+    j = structural_matrix(StructuralKind.J, n)
+    z = structural_matrix(StructuralKind.Z, n)
     b_hat = {
         "JAM": ident, "IV": ident,
         "I": ibar, "V": ibar,
