@@ -8,7 +8,6 @@ against the printed values.
 """
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,6 +31,7 @@ from .scaler import DYADIC_METHOD_IDS, normalize_method, scale, scale_to
 TABLE_IDS = golden.TABLE_IDS
 
 CSV_HEADER = "table,row,column,computed,printed,delta,ok"
+TABLE_FORMATS = ("md", "csv", "json")
 
 
 @dataclass(frozen=True)
@@ -227,13 +227,6 @@ class TableDocument:
                 )
         return rows
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(CSV_HEADER + "\r\n")
-        for line in self.csv_rows():
-            buf.write(line + "\r\n")
-        return buf.getvalue()
-
     def payload(self) -> dict:
         rows = []
         for row in self.row_labels:
@@ -254,8 +247,17 @@ class TableDocument:
             "all_ok": self.all_ok(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.payload(), indent=2)
+
+def render(docs, fmt: str) -> str:
+    """The text of ``dctscale tables``: each document's markdown in turn, one csv
+    header and every row, CRLF-ended, or one json list, indent 2, newline-ended."""
+    if fmt == "md":
+        return "\n".join(doc.to_markdown() for doc in docs)
+    if fmt == "csv":
+        return "".join(f"{row}\r\n" for row in [CSV_HEADER, *(r for doc in docs for r in doc.csv_rows())])
+    if fmt == "json":
+        return json.dumps([doc.payload() for doc in docs], indent=2) + "\n"
+    raise ValueError(f"unknown table format {fmt!r}; choose from {', '.join(TABLE_FORMATS)}")
 
 
 def _scaling_families_table() -> TableDocument:

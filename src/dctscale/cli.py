@@ -32,6 +32,7 @@ from .matkit import as_real, canonical, dyadic_str, frobenius_distance
 from .scaler import METHOD_IDS, normalize_method, scale, scale_to
 
 RESIDUAL_BOUND = 1e-10
+_TRANSFORM_KINDS = tuple(k.value for k in TransformKind)
 
 
 class _CliError(Exception):
@@ -41,17 +42,6 @@ class _CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep diagnostics to one line on stderr
         raise _CliError(message)
-
-
-_TRANSFORM_KINDS = ("dct2", "dct4", "dst4")
-_STRUCTURAL_KINDS = {
-    "B": StructuralKind.B,
-    "G": StructuralKind.G,
-    "A": StructuralKind.A,
-    "D": StructuralKind.D,
-    "shuffle": StructuralKind.PERFECT_SHUFFLE,
-    "bitrev": StructuralKind.BIT_REVERSAL,
-}
 
 
 def _design_size(text: str) -> int:
@@ -89,7 +79,7 @@ def _cmd_gen(args) -> tuple[str, int]:
     if args.kind in _TRANSFORM_KINDS:
         mat = transform_matrix(TransformKind(args.kind), args.size)
     else:
-        mat = as_real(structural_matrix(_STRUCTURAL_KINDS[args.kind], args.size))
+        mat = as_real(structural_matrix(StructuralKind(args.kind), args.size))
     if args.format == "json":
         doc = {
             "kind": args.kind,
@@ -123,6 +113,17 @@ def _cmd_metrics(args) -> tuple[str, int]:
     return line + "\n", 0
 
 
+def _numbers(lineno: int, tokens: list[str], convert, wanted: str) -> list:
+    """``tokens`` through ``convert``; the first it refuses exits naming its line."""
+    values = []
+    for token in tokens:
+        try:
+            values.append(convert(token))
+        except ValueError:
+            raise _CliError(f"line {lineno}: {wanted}, got {token!r}") from None
+    return values
+
+
 def _read_vectors(path: Path, size: int) -> list[tuple[int, list[str]]]:
     """The (line number, tokens) of each non-blank line of ``path``."""
     if path.is_dir():
@@ -154,12 +155,7 @@ def _cmd_apply(args) -> tuple[str, int]:
     if args.int:
         if scaled.factored is None:
             raise _CliError("--int needs a dyadic method (JAM or I..VII)")
-        rows = []
-        for _, tokens in vectors:
-            try:
-                rows.append([int(t) for t in tokens])
-            except ValueError:
-                raise _CliError(f"--int requires integer inputs, got {tokens!r}") from None
+        rows = [_numbers(lineno, tokens, int, "--int requires integer inputs") for lineno, tokens in vectors]
         try:
             batch = np.array(rows, dtype=np.int64).T
         except OverflowError:
@@ -171,7 +167,7 @@ def _cmd_apply(args) -> tuple[str, int]:
             lines.append(" ".join(map(dyadic_str, col_nums, col_shifts)))
     else:
         for lineno, tokens in vectors:
-            vec = np.array([float(t) for t in tokens])
+            vec = np.array(_numbers(lineno, tokens, float, "inputs must be numbers"))
             if not np.all(np.isfinite(vec)):
                 raise _CliError(f"line {lineno}: inputs must be finite numbers")
             with np.errstate(over="ignore", invalid="ignore"):
@@ -184,16 +180,7 @@ def _cmd_apply(args) -> tuple[str, int]:
 
 def _cmd_tables(args) -> tuple[str, int]:
     ids = analysis.TABLE_IDS if args.id == "all" else (args.id,)
-    docs = [analysis.reproduce_table(i) for i in ids]
-    if args.format == "md":
-        out = "\n".join(doc.to_markdown() for doc in docs)
-    elif args.format == "csv":
-        rows = [analysis.CSV_HEADER]
-        for doc in docs:
-            rows.extend(doc.csv_rows())
-        out = "\r\n".join(rows) + "\r\n"
-    else:
-        out = json.dumps([doc.payload() for doc in docs], indent=2) + "\n"
+    out = analysis.render([analysis.reproduce_table(i) for i in ids], args.format)
     if args.out:
         Path(args.out).write_text(out)
         return "", 0
@@ -231,21 +218,27 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=_TRANSFORM_KINDS + tuple(_STRUCTURAL_KINDS),
+        choices=_TRANSFORM_KINDS + tuple(k.value for k in StructuralKind),
     )
     p.add_argument(
         "--size",
         required=True,
         type=int,
-        help="matrix order (half-size for shuffle; power of two for bitrev)",
+        help="matrix order (half-size for shuffle and butterfly; power of two for bitrev)",
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("scale", help="double a seed transform and report its error")
-    p.add_argument("--approx", required=True, help="catalog id or 'exact'")
-    p.add_argument("--method", required=True, help="|".join(METHOD_IDS))
-    p.add_argument("--size", required=True, type=_design_size)
+    # the one option set of the design verbs scale, metrics and apply
+    design = _Parser(add_help=False)
+    for flag, kind, text in (
+        ("--approx", str, "catalog id, or 'exact' for scale and for apply without --int"),
+        ("--method", str, f"{'|'.join(METHOD_IDS)}; metrics and apply --int take all but exact"),
+        ("--size", _design_size, "a power of two from 16 to 1024"),
+    ):
+        design.add_argument(flag, required=True, type=kind, help=text)
+
+    p = sub.add_parser("scale", parents=[design], help="double a seed transform and report its error")
     p.add_argument(
         "--orthogonalize",
         action="store_true",
@@ -253,17 +246,11 @@ def _build_parser() -> _Parser:
     )
     p.set_defaults(handler=_cmd_scale)
 
-    p = sub.add_parser("metrics", help="print one figure-of-merit row")
-    p.add_argument("--approx", required=True)
-    p.add_argument("--method", required=True)
-    p.add_argument("--size", required=True, type=_design_size)
+    p = sub.add_parser("metrics", parents=[design], help="print one figure-of-merit row")
     p.add_argument("--rho", type=float, default=0.95)
     p.set_defaults(handler=_cmd_metrics)
 
-    p = sub.add_parser("apply", help="transform vectors from a file")
-    p.add_argument("--approx", required=True)
-    p.add_argument("--method", required=True)
-    p.add_argument("--size", required=True, type=_design_size)
+    p = sub.add_parser("apply", parents=[design], help="transform vectors from a file")
     p.add_argument("--input", required=True, help="one whitespace-separated vector per line")
     p.add_argument(
         "--int",
@@ -274,7 +261,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("tables", help="recompute reference tables with deltas")
     p.add_argument("--id", required=True, help="table id or 'all'")
-    p.add_argument("--format", choices=("md", "csv", "json"), default="md")
+    p.add_argument("--format", choices=analysis.TABLE_FORMATS, default="md")
     p.add_argument("--out", help="write to this file instead of stdout")
     p.set_defaults(handler=_cmd_tables)
 

@@ -79,7 +79,8 @@ class DyadicRational:
         return self.numerator == other.numerator and self.shift == other.shift
 
     def __hash__(self):
-        return hash((self.numerator, self.shift))
+        # an integer value hashes as its int, which it equals
+        return hash(self.numerator if self.shift == 0 else (self.numerator, self.shift))
 
     def is_unit_magnitude(self) -> bool:
         """True when the value is +1 or -1 (applying it is free)."""
@@ -107,6 +108,13 @@ def dyadic_str(numerator: int, shift: int) -> str:
     return f"{numerator}/{1 << shift}"
 
 
+def _check_bits(num: np.ndarray) -> None:
+    """OverflowError where an int64 numerator needs more than 62 bits; both
+    ends are read, as np.abs(-2**63) wraps to -2**63."""
+    if num.size and (num.max() >= _NUM_LIMIT or num.min() <= -_NUM_LIMIT):
+        raise OverflowError(f"dyadic numerator exceeds {NUMERATOR_BITS} bits")
+
+
 def canonical(num: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-entry canonical (numerator, shift) arrays of ``num / 2**shift``.
 
@@ -114,8 +122,7 @@ def canonical(num: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
     get shift 0.  Raises OverflowError for numerators beyond 62 bits.
     """
     num = np.asarray(num, dtype=np.int64)
-    if num.size and (num.max() >= _NUM_LIMIT or num.min() <= -_NUM_LIMIT):
-        raise OverflowError(f"dyadic numerator exceeds {NUMERATOR_BITS} bits")
+    _check_bits(num)
     if shift == 0:
         return num, np.zeros_like(num)
     # the lowest set bit of num | 2**cap is 2**min(trailing zeros, cap), and
@@ -228,9 +235,7 @@ class DyadicMatrix:
         if shift < 0:
             raise ValueError("shift must be non-negative")
         self._num, self._shift = num, _reduce_common(num, shift)
-        # both ends, as np.abs(-2**63) wraps to -2**63
-        if num.size and (num.max() >= _NUM_LIMIT or num.min() <= -_NUM_LIMIT):
-            raise OverflowError(f"dyadic numerator exceeds {NUMERATOR_BITS} bits")
+        _check_bits(num)  # after the reduction: DyadicMatrix([-2**63], 2) is legal
 
     @classmethod
     def _owning(cls, num: np.ndarray, shift: int) -> "DyadicMatrix":
@@ -243,20 +248,10 @@ class DyadicMatrix:
 
     @classmethod
     def from_entries(cls, rows: Sequence[Sequence]) -> "DyadicMatrix":
-        """Build from nested ints, strings like ``"-1/2"``, or DyadicRationals."""
-        parsed = [
-            [
-                e
-                if isinstance(e, DyadicRational)
-                else DyadicRational.parse(e)
-                if isinstance(e, str)
-                else DyadicRational(e)
-                for e in row
-            ]
-            for row in rows
-        ]
-        shift = max((e.shift for row in parsed for e in row), default=0)
-        num = [[e.numerator << (shift - e.shift) for e in row] for row in parsed]
+        """Build from nested ints, strings like ``"-1/2"``, or DyadicRationals,
+        over their largest shift."""
+        parsed = [[DyadicRational.parse(e) if isinstance(e, str) else e for e in row] for row in rows]
+        num, shift, _ = aligned_numerators(np.array(parsed, dtype=object), 1)
         return cls(num, shift)
 
     @classmethod
@@ -346,12 +341,8 @@ class DyadicMatrix:
         if bound < _NUM_LIMIT:
             prod = self._num @ other._num  # exact in int64
         else:
-            prod = self._num.astype(object) @ other._num.astype(object)
-            if int(max(abs(int(v)) for v in prod.flat)) >= _NUM_LIMIT:
-                raise OverflowError(
-                    f"dyadic numerator exceeds {NUMERATOR_BITS} bits"
-                )
-            prod = prod.astype(np.int64)
+            # past int64 the conversion raises OverflowError, past 62 bits the constructor
+            prod = (self._num.astype(object) @ other._num.astype(object)).astype(np.int64)
         return DyadicMatrix(prod, self._shift + other._shift)
 
     def _aligned(self, other: "DyadicMatrix"):
@@ -369,12 +360,7 @@ class DyadicMatrix:
         return DyadicMatrix(a + b, shift)
 
     def __sub__(self, other) -> "DyadicMatrix":
-        if not isinstance(other, DyadicMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError("dimension mismatch in matrix difference")
-        a, b, shift = self._aligned(other)
-        return DyadicMatrix(a - b, shift)
+        return self + -other if isinstance(other, DyadicMatrix) else NotImplemented
 
     def __neg__(self) -> "DyadicMatrix":
         return DyadicMatrix(-self._num, self._shift)

@@ -26,6 +26,7 @@ from dctscale.analysis import (
     catalog_error_points,
     evaluate,
     fit,
+    render,
     reproduce_table,
 )
 
@@ -230,12 +231,18 @@ def test_csv_and_json_serialization():
     rows = doc.csv_rows()
     assert len(rows) == len(doc.row_labels) * len(doc.columns)
     assert rows[0].startswith("scaling-families,JAM,N=8,")
-    text = doc.to_csv()
+    text = render([doc], "csv")
     assert text.startswith(CSV_HEADER + "\r\n")
     assert text.endswith("\r\n")
     assert text.count("\r\n") == len(rows) + 1
-    payload = json.loads(doc.to_json())
-    assert payload == doc.payload()
+    # one header for all documents, and one json list with a trailing newline
+    assert render([doc, doc], "csv") == text + "".join(f"{row}\r\n" for row in rows)
+    text = render([doc, doc], "json")
+    assert text.endswith("}\n]\n") and json.loads(text) == [doc.payload(), doc.payload()]
+    assert render([doc, doc], "md") == doc.to_markdown() + "\n" + doc.to_markdown()
+    with pytest.raises(ValueError, match="unknown table format 'xml'"):
+        render([doc], "xml")
+    payload = doc.payload()
     assert payload["table"] == "scaling-families"
     assert payload["all_ok"] is True
     assert payload["rows"][0]["label"] == "JAM"

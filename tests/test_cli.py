@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from dctscale.analysis import CSV_HEADER
 from dctscale.cli import run
-from dctscale.exact import TransformKind, transform_matrix
+from dctscale.exact import StructuralKind, TransformKind, structural_matrix, transform_matrix
+from dctscale.matkit import as_real
 from dctscale.scaler import scale_to
 from dctscale import catalog
 
@@ -38,6 +40,19 @@ def test_no_arguments_is_an_error(capsys):
 def test_help_exits_zero(capsys):
     code, out, err = _run(capsys, ["--help"])
     assert code == 0
+
+
+def test_design_verbs_share_one_option_set(capsys):
+    # scale, metrics and apply print the same help for --approx, --method and --size
+    shared = {}
+    for verb, own in (("scale", "--orthogonalize"), ("metrics", "--rho"), ("apply", "--input")):
+        code, out, err = _run(capsys, [verb, "--help"])
+        assert (code, err) == (0, "")
+        options = " ".join(out.split("options:")[-1].split())
+        found = re.search(f"--approx APPROX (.+) --method METHOD (.+) --size SIZE (.+?) {own}", options)
+        assert found, verb
+        shared[verb] = found.groups()
+    assert shared["scale"] == shared["metrics"] == shared["apply"]
 
 
 def test_unknown_verb(capsys):
@@ -82,6 +97,18 @@ def test_gen_bitrev_requires_power_of_two(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: bit reversal needs a power-of-two size, got 7\n"
+
+
+def test_gen_takes_every_transform_and_structural_kind(capsys):
+    for kind in (*TransformKind, *StructuralKind):
+        code, out, err = _run(capsys, ["gen", "--kind", kind.value, "--size", "4"])
+        assert (code, err) == (0, ""), kind
+        if isinstance(kind, TransformKind):
+            want = transform_matrix(kind, 4)
+        else:
+            want = as_real(structural_matrix(kind, 4))
+        got = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()])
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-12), kind  # 12 digits
 
 
 def test_gen_is_deterministic(capsys):
@@ -371,6 +398,21 @@ def test_apply_float_path_refuses_non_finite_values(capsys, tmp_path):
         code, out, err = _run(capsys, argv + [str(path)])
         assert (code, out) == (2, ""), name
         assert err == f"error: {message}\n", name
+
+
+def test_apply_names_the_line_and_the_token_that_is_not_a_number(capsys, tmp_path):
+    argv = ["apply", "--approx", "rdct", "--method", "VI", "--size", "16", "--input"]
+    good = " ".join(str(v) for v in range(16))
+    cases = (
+        ("abc", [], "line 3: inputs must be numbers, got 'abc'"),
+        ("abc", ["--int"], "line 3: --int requires integer inputs, got 'abc'"),
+        ("2.5", ["--int"], "line 3: --int requires integer inputs, got '2.5'"),
+    )
+    for token, extra, message in cases:
+        path = tmp_path / "vectors.txt"
+        path.write_text(good + "\n\n" + "1 " * 7 + token + " 2" * 8 + "\n" + good + "\n")
+        code, out, err = _run(capsys, argv + [str(path)] + extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), (token, extra)
 
 
 def test_apply_tells_a_directory_from_a_missing_file(capsys, tmp_path):

@@ -85,6 +85,17 @@ def test_rational_immutable_and_hashable():
     assert bool(DyadicRational(0)) is False and bool(d) is True
 
 
+def test_rational_hash_agrees_with_equal_ints():
+    # an integer value equals its int, so it hashes as that int and is found in sets
+    for value in (3, -5, 0, 1, -(1 << 61)):
+        d = DyadicRational(value)
+        assert d == value and hash(d) == hash(value)
+        assert d in {value} and value in {d} and {value: "x"}[d] == "x"
+    assert DyadicRational(6, 1) in {3}
+    half = DyadicRational(1, 1)
+    assert hash(half) == hash(DyadicRational(2, 2)) and half not in {0, 1}
+
+
 def test_rational_float_vs_fraction():
     rng = np.random.default_rng(101)
     for _ in range(300):
@@ -229,10 +240,18 @@ def test_matrix_matmul_object_fallback():
     b = DyadicMatrix([[big - 2, 0], [0, 1]])
     prod = a @ b
     assert prod.entry(0, 0) == DyadicRational(big * (big - 2))
-    # genuine overflow still raises
+    # genuine overflow still raises: past 62 bits from the constructor, past
+    # 64 from the int64 conversion
     with pytest.raises(OverflowError):
         c = DyadicMatrix([[1 << 61]])
         _ = c @ DyadicMatrix([[2]])
+    with pytest.raises(OverflowError):
+        _ = DyadicMatrix([[1 << 40, 1 << 40]]) @ DyadicMatrix([[1 << 40], [1 << 40]])
+    # a product past 62 bits before the common-power reduction and not after
+    # is legal, as DyadicMatrix([-2**63], 2) is: (2**63 - 2) / 4 = (2**62 - 1) / 2
+    a = DyadicMatrix([[big, big - 2]], 1)
+    prod = a @ DyadicMatrix([[big - 2], [big]], 1)
+    assert (prod.numerators().tolist(), prod.shift) == ([[(1 << 62) - 1]], 1)
 
 
 def test_matrix_add_sub_neg_transpose():

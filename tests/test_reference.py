@@ -6,9 +6,9 @@ The file is read only.  It holds the sha256 of the stdout of
 dyadic method must reproduce.  See ``bench/capture_reference.py``.
 
 ``_GOLDEN`` pins the stdout sha256 and the zero exit code of the real
-mixing and cosine blocks A, B, D and G, of the permutation generators and
-of ``verify``.  The package-level checks
-(public names, no scipy) sit here too.
+mixing and cosine blocks A, B, D and G, of the permutation generators, of
+``tables --id all`` as markdown and csv, and of ``verify``.  The
+package-level checks (public names, no scipy) sit here too.
 """
 from __future__ import annotations
 
@@ -95,6 +95,8 @@ _GOLDEN = {
     "gen --kind bitrev --size 8 --format json": "a12545643767a601dd88959d50e4b86a02ca92cb1983487d0282ed7220013394",
     "gen --kind bitrev --size 64 --format csv": "3b8132833e3186f610f93355739bed6383b7e6cf4d3246c7b65f483a960fefe4",
     "gen --kind bitrev --size 64 --format json": "f426e54568e8973aee0d153ee73ac7820d83b29b068d04e913a304a93d72f82d",
+    "tables --id all --format csv": "b5e9ab794d43838dd9ff2eb171dfd6785c14cdf64703c15188e5ca9d21c0d751",
+    "tables --id all --format md": "3321ce69ec35bddcb6ee86d88c28e45486c13f30effbc31c640ed124d8307b3c",
     "verify --max-size 64": "c9f1eeb445e702e9563e4a56821c408de63d82c8b9bc538a0b290d2e850c2459",
 }
 
