@@ -9,16 +9,16 @@ from the approximations' published fast algorithms.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from ..exact import TransformKind, transform_matrix
 from ..matkit import DyadicMatrix, as_real, canonical, is_diagonal
 
-_DATA_DIR = Path(__file__).resolve().parent
+_DATA_DIR = os.path.dirname(os.path.abspath(__file__))
 
 APPROXIMATION_IDS: tuple[str, ...] = (
     "bas1",
@@ -101,19 +101,18 @@ def parse_matrix_text(text: str) -> DyadicMatrix:
     return DyadicMatrix.from_entries(rows)
 
 
+def _read_bytes(filename: str) -> bytes:
+    with open(f"{_DATA_DIR}/{filename}", "rb") as f:
+        return f.read()
+
+
 def _manifest() -> dict[str, str]:
-    entries = {}
-    for raw in (_DATA_DIR / "MANIFEST.sha256").read_text().splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        digest, name = line.split()
-        entries[name] = digest
-    return entries
+    rows = (line.split() for line in _read_bytes("MANIFEST.sha256").decode().splitlines())
+    return {name: digest for digest, name in filter(None, rows)}
 
 
 def _read_checked(filename: str) -> str:
-    blob = (_DATA_DIR / filename).read_bytes()
+    blob = _read_bytes(filename)
     expected = _manifest().get(filename)
     if expected is None:
         raise ValueError(f"{filename} missing from checksum manifest")
@@ -197,8 +196,8 @@ def orthogonalize(t) -> tuple[np.ndarray, np.ndarray]:
     mat = as_real(t)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("orthogonalize expects a square matrix")
-    gram_diag = np.sum(mat * mat, axis=1)
-    if np.any(gram_diag <= 0.0):
+    gram_diag = (mat * mat).sum(axis=1)
+    if (gram_diag <= 0.0).any():
         raise ValueError("singular Gram matrix (zero row)")
     inv_norm = 1.0 / np.sqrt(gram_diag)
     # scaling the rows equals the diagonal product sigma @ mat entry for entry

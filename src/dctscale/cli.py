@@ -154,7 +154,9 @@ def _cmd_apply(args) -> tuple[str, int]:
     lines = []
     if args.int:
         if scaled.factored is None:
-            raise _CliError("--int needs a dyadic method (JAM or I..VII)")
+            if method == "exact":
+                raise _CliError("--int needs a dyadic method (JAM or I..VII)")
+            raise _CliError("--int needs a catalog seed: the float 'exact' seed has no factored form")
         rows = [_numbers(lineno, tokens, int, "--int requires integer inputs") for lineno, tokens in vectors]
         try:
             batch = np.array(rows, dtype=np.int64).T

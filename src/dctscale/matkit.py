@@ -251,6 +251,8 @@ class DyadicMatrix:
         """Build from nested ints, strings like ``"-1/2"``, or DyadicRationals,
         over their largest shift."""
         parsed = [[DyadicRational.parse(e) if isinstance(e, str) else e for e in row] for row in rows]
+        if len({len(row) for row in parsed}) > 1:
+            raise ValueError("ragged rows: every row needs the same number of entries")
         num, shift, _ = aligned_numerators(np.array(parsed, dtype=object), 1)
         return cls(num, shift)
 
@@ -338,12 +340,14 @@ class DyadicMatrix:
         amax = int(np.abs(self._num).max(initial=0))
         bmax = int(np.abs(other._num).max(initial=0))
         bound = amax * bmax * max(self.cols, 1)
+        shift = self._shift + other._shift
         if bound < _NUM_LIMIT:
-            prod = self._num @ other._num  # exact in int64
-        else:
-            # past int64 the conversion raises OverflowError, past 62 bits the constructor
-            prod = (self._num.astype(object) @ other._num.astype(object)).astype(np.int64)
-        return DyadicMatrix(prod, self._shift + other._shift)
+            return DyadicMatrix(self._num @ other._num, shift)  # exact in int64
+        # Python ints: reduced and checked as the constructor does, before the int64 conversion
+        prod = self._num.astype(object) @ other._num.astype(object)
+        shift = _reduce_common(prod, shift)
+        _check_bits(prod)
+        return DyadicMatrix(prod.astype(np.int64), shift)
 
     def _aligned(self, other: "DyadicMatrix"):
         shift = max(self._shift, other._shift)
@@ -422,7 +426,7 @@ def frobenius_distance(a, b) -> float:
     b = as_real(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
+    return float(np.sqrt(((a - b) ** 2).sum()))
 
 
 def is_diagonal(m, tol: float = 0.0) -> bool:

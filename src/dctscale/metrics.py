@@ -86,11 +86,11 @@ def deviation_from_orthogonality(c_hat) -> float:
     off-diagonal energy dominates.
     """
     m = _square(c_hat)
-    if not np.any(m):
+    if not m.any():
         raise ValueError("deviation from orthogonality of the zero matrix")
     gram = m @ m.T
-    total = float(np.sum(gram * gram))
-    diag = float(np.sum(np.diag(gram) ** 2))
+    total = float((gram * gram).sum())
+    diag = float((gram.diagonal() ** 2).sum())
     return 1.0 - diag / total
 
 
@@ -105,7 +105,7 @@ def mse(c_hat, c, model: SignalModel) -> float:
     a, b = _pair(c_hat, c)
     rx = _model_for(a, model)
     delta = b - a
-    return float(np.trace(delta @ rx @ delta.T) / a.shape[0])
+    return float((delta @ rx @ delta.T).trace() / a.shape[0])
 
 
 def _output_covariance(m: np.ndarray, rx: np.ndarray) -> np.ndarray:
@@ -135,10 +135,10 @@ def _gain_and_covariance(c_hat, model: SignalModel) -> tuple[float, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise ValueError("coding gain needs an invertible transform") from exc
     ry = _output_covariance(m, rx)
-    a = np.diag(ry)
-    b = np.sum(inv * inv, axis=1)
+    a = ry.diagonal()
+    b = (inv * inv).sum(axis=1)
     n = m.shape[0]
-    return float(-10.0 / n * np.sum(np.log10(a * b))), ry
+    return float(-10.0 / n * np.log10(a * b).sum()), ry
 
 
 def transform_efficiency(c_hat, model: SignalModel) -> float:
@@ -151,4 +151,4 @@ def transform_efficiency(c_hat, model: SignalModel) -> float:
 
 
 def _efficiency(ry: np.ndarray) -> float:
-    return float(100.0 * np.sum(np.abs(np.diag(ry))) / np.sum(np.abs(ry)))
+    return float(100.0 * np.abs(ry.diagonal()).sum() / np.abs(ry).sum())

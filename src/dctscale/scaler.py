@@ -202,9 +202,13 @@ def _coerce_seed(t, base_cost) -> _Level:
 
 
 def _stack_halves(top: np.ndarray, low: np.ndarray, shuffle: np.ndarray) -> np.ndarray:
-    """P [[top, top Ibar], [low Ibar, -low]] with low = B-hat T G-hat, P as a row gather."""
-    halves = np.vstack([np.hstack([top, top[:, ::-1]]), np.hstack([low[:, ::-1], -low])])
-    return halves[shuffle]
+    """P [[top, top Ibar], [low Ibar, -low]] with low = B-hat T G-hat, P as a row
+    gather; the four blocks, of one dtype, are written into one array."""
+    n = top.shape[0]
+    halves = np.empty((2 * n, 2 * n), dtype=top.dtype)
+    halves[:n, :n], halves[:n, n:], halves[n:, :n] = top, top[:, ::-1], low[:, ::-1]
+    np.negative(low, out=halves[n:, n:])
+    return halves.take(shuffle, axis=0)
 
 
 def _double_dyadic(block: FactoredTransform, t: DyadicMatrix, mid: str):

@@ -7,6 +7,9 @@ values computed independently before this package existed.
 """
 from __future__ import annotations
 
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -118,6 +121,46 @@ def test_checksum_checked_on_every_load(monkeypatch):
     monkeypatch.setattr(catalog, "_manifest", lambda: bad)
     with pytest.raises(ValueError, match="checksum mismatch"):
         load("bas1")
+
+
+@pytest.fixture
+def data_copy(tmp_path, monkeypatch):
+    """The catalog reading a copy of its data files, which a test may edit."""
+    for name in os.listdir(catalog._DATA_DIR):
+        if name.endswith(".txt") or name == "MANIFEST.sha256":
+            shutil.copy(os.path.join(catalog._DATA_DIR, name), tmp_path)
+    monkeypatch.setattr(catalog, "_DATA_DIR", str(tmp_path))
+    return tmp_path
+
+
+def test_edit_on_disk_fails_the_next_load(data_copy):
+    # the real read path, not a monkeypatched one: the bytes on disk are hashed each time
+    first = load("bas1")
+    assert load("bas1") is first
+    path = data_copy / "bas1.txt"
+    path.write_bytes(path.read_bytes() + b"# edited\n")
+    with pytest.raises(ValueError, match="checksum mismatch for bas1.txt"):
+        load("bas1")
+
+
+def test_manifest_line_deleted_on_disk(data_copy):
+    manifest = data_copy / "MANIFEST.sha256"
+    lines = manifest.read_bytes().splitlines(keepends=True)
+    manifest.write_bytes(b"".join(line for line in lines if not line.endswith(b"lodct.txt\n")))
+    with pytest.raises(ValueError, match="lodct.txt missing from checksum manifest"):
+        load("lodct")
+    assert load("bas1").id == "bas1"
+
+
+def test_crlf_manifest_still_parses(data_copy):
+    manifest = data_copy / "MANIFEST.sha256"
+    text = manifest.read_bytes()
+    manifest.write_bytes(text.replace(b"\n", b"\r\n"))
+    assert catalog._manifest() == dict(
+        reversed(line.split()) for line in text.decode().splitlines() if line.strip()
+    )
+    for approx_id in APPROXIMATION_IDS:
+        assert load(approx_id).id == approx_id
 
 
 def test_changed_text_is_parsed_afresh(monkeypatch):

@@ -364,6 +364,20 @@ def test_apply_errors(capsys, tmp_path, vec16):
     assert code == 2 and "--int needs a dyadic method" in err
 
 
+def test_apply_int_names_the_float_exact_seed(capsys, vec16):
+    # II is dyadic: what has no factored form is the float 'exact' seed
+    code, out, err = _run(
+        capsys,
+        ["apply", "--approx", "exact", "--method", "II", "--size", "16",
+         "--input", vec16, "--int"],
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --int needs a catalog seed: the float 'exact' seed has no factored form\n"
+    # without --int the float seed applies
+    assert _run(capsys, ["apply", "--approx", "exact", "--method", "II", "--size", "16",
+                         "--input", vec16])[0] == 0
+
+
 def test_apply_int_batch_refuses_bad_lines_and_overflow(capsys, tmp_path):
     argv = ["apply", "--approx", "rdct", "--method", "VI", "--size", "16", "--int", "--input"]
     good = " ".join(str(v) for v in range(16))

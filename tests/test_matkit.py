@@ -240,18 +240,29 @@ def test_matrix_matmul_object_fallback():
     b = DyadicMatrix([[big - 2, 0], [0, 1]])
     prod = a @ b
     assert prod.entry(0, 0) == DyadicRational(big * (big - 2))
-    # genuine overflow still raises: past 62 bits from the constructor, past
-    # 64 from the int64 conversion
-    with pytest.raises(OverflowError):
+    # genuine overflow raises the constructor's error, within int64 and past it
+    with pytest.raises(OverflowError, match="dyadic numerator exceeds 62 bits"):
         c = DyadicMatrix([[1 << 61]])
         _ = c @ DyadicMatrix([[2]])
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="dyadic numerator exceeds 62 bits"):
         _ = DyadicMatrix([[1 << 40, 1 << 40]]) @ DyadicMatrix([[1 << 40], [1 << 40]])
     # a product past 62 bits before the common-power reduction and not after
     # is legal, as DyadicMatrix([-2**63], 2) is: (2**63 - 2) / 4 = (2**62 - 1) / 2
     a = DyadicMatrix([[big, big - 2]], 1)
     prod = a @ DyadicMatrix([[big - 2], [big]], 1)
     assert (prod.numerators().tolist(), prod.shift) == ([[(1 << 62) - 1]], 1)
+    # so is one past int64: x (u + v) is about 2**64, and 2**4 divides u + v
+    x, u, v = (1 << 31) + 1, (1 << 33) + 7, 9
+    assert x * (u + v) >= 1 << 63
+    prod = DyadicMatrix([[x, x]], 2) @ DyadicMatrix([[u], [v]], 2)
+    assert (prod.numerators().tolist(), prod.shift) == ([[x * (u + v) >> 4]], 0)
+
+
+def test_from_entries_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="ragged rows"):
+        DyadicMatrix.from_entries([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged rows"):
+        DyadicMatrix.from_entries([["1/2"], [1, 0]])
 
 
 def test_matrix_add_sub_neg_transpose():
