@@ -30,11 +30,11 @@ autosort FFT, no stage has to reorder the rows.  In that order each run of up
 to four consecutive levels is one matmul with a ±1 Hadamard matrix, one BLAS
 call on float input where numpy would make a pass over the data per add and
 per subtract.  The plan tracks where each row sits as a signed permutation:
-the sign stages only change its signs, and the leaf takes it into its columns
-and the last gather into its index.  The stages work on numerators: integer
-input stays exact (the ``growth`` bound raises OverflowError before int64
-could wrap), and an integer batch runs on the float64 stages where ``growth``
-proves them exact; float input runs in float64.
+the sign stages only change its signs, the leaf takes it into its columns, and
+up to N = 128 the leaf writes its rows where the shuffles put them, ending the
+plan.  The stages work on numerators: integer input stays exact (``growth``
+raises OverflowError before int64 could wrap), and an integer batch runs on
+the float64 stages where ``growth`` proves them exact; float input in float64.
 """
 from __future__ import annotations
 
@@ -218,9 +218,14 @@ class FactoredTransform:
         return reduce(_add_costs, (f.cost() for f in self.factors), (0, 0))
 
     def dyadic(self) -> DyadicMatrix:
-        out = self.factors[0].dyadic()
-        for f in self.factors[1:]:
-            out = out @ f.dyadic()
+        """The factors' product from the right; a gather takes signed rows, in O(N²)."""
+        out = self.factors[-1].dyadic()
+        for f in reversed(self.factors[:-1]):
+            g, num = f.payload, out.numerators()
+            if f.kind is FactorKind.GATHER and g.norm * int(np.abs(num).max(initial=0)) < 1 << NUMERATOR_BITS:
+                out = DyadicMatrix(g.multipliers()[:, None] * num[g.index], out.shift + g.shift)
+            else:
+                out = f.dyadic() @ out  # and a gather whose products could pass int64
         return out
 
     def dense(self) -> np.ndarray:
@@ -308,12 +313,14 @@ class _Gather:
         mult = None if self.mult is None else np.tile(self.mult, count)
         return _Gather(_tiled(self.index, count * self.index.size), mult, self.shift)
 
-    def run(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    def run(self, x: np.ndarray, out: np.ndarray | None, cols: int) -> np.ndarray:
+        x = x.reshape(-1, self.index.size, cols)
+        out = None if out is None else out.reshape(x.shape)
         column = self._real if x.dtype.kind == "f" else self._column
         if not self.unpermuted:
             # the method skips np.take's dispatch; "clip" skips the bounds
             # check, done when built, and the copy "raise" makes of ``out``
-            x = out = x.take(self._take, axis=-2, out=out, mode="clip")
+            x = out = x.take(self._take, axis=1, out=out, mode="clip")
         elif column is None:
             return np.positive(x, out=out)  # a bare shift only copies
         return x if column is None else np.multiply(x, column, out=out)
@@ -344,16 +351,16 @@ class _Butterfly(_BlockStage):
     into their sum, kept in the top row, and difference.  Run in pair order,
     where those partners sit ``h`` rows apart, a level turns each block's top
     half ``t`` and bottom half ``b`` into ``[t + b, t - b]``, so the levels
-    together are the ±1 Hadamard matrix of ``2**levels`` rows acting on each
-    first block cut into that many contiguous slices, and the stage runs as
-    one matmul with that matrix: a BLAS call on float input, numpy's own loop
-    on int64."""
+    together are the ±1 Hadamard matrix of ``k = 2**levels`` rows, rows
+    possibly reordered, acting on each first block cut into ``k`` slices of
+    ``rows`` rows, and the stage runs as one matmul with that matrix: a BLAS
+    call on float input, numpy's own loop on int64."""
 
-    shift = 0
+    shift, slices = 0, None
 
     def __init__(self, count: int, half: int, levels: int = 1):
-        self.count, self.half, self.levels = count, half, levels
-        self.norm = 2**levels
+        self.count, self.half, self.levels, self.rows = count, half, levels, 2 * half >> levels
+        self.k = self.norm = 1 << levels
         h = reduce(np.kron, [np.array([[1, 1], [1, -1]])] * levels, np.ones((1, 1), np.int64))
         self.hadamard, self.hadamard_real = h, h.astype(np.float64)
 
@@ -363,35 +370,34 @@ class _Butterfly(_BlockStage):
         below = bf.count == self.count << self.levels and bf.half << self.levels == self.half
         return _Butterfly(self.count, self.half, self.levels + 1) if below and self.levels < _LEVELS else None
 
-    def run(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        block = 2 * self.half
-        k = 1 << self.levels
-        shape = (math.prod(x.shape[:-1]) // block, k, block // k * x.shape[-1])  # explicit: B may be 0
+    def run(self, x: np.ndarray, out: np.ndarray | None, cols: int) -> np.ndarray:
+        x = x.reshape(-1, self.k, self.rows * cols)
         h = self.hadamard_real if x.dtype.kind == "f" else self.hadamard
-        y = np.matmul(h, x.reshape(shape), out=None if out is None else out.reshape(shape))
-        return y.reshape(x.shape)
+        return np.matmul(h, x, out=None if out is None else out.reshape(x.shape))
 
     def __str__(self) -> str:
         size = 2 * self.half
+        order = "" if self.slices is None else f", slices in order {self.slices.tolist()}"
         if self.levels == 1:
-            return f"butterfly {size}{self._on()}: add and subtract contiguous halves"
+            return f"butterfly {size}{self._on()}: add and subtract contiguous halves{order}"
         last = size >> (self.levels - 1)
-        return f"butterflies {size} to {last}{self._on()}: one ±1 product of {1 << self.levels} rows"
+        return f"butterflies {size} to {last}{self._on()}: one ±1 product of {self.k} rows{order}"
 
 
 class _Dense(_BlockStage):
     """A dense numerator product ``num @ x`` over ``2**shift`` on each block.  As
     run, a block may hold its own numerators: columns permuted and signed to
     read its rows in pair order, and rows times the multipliers of the gather
-    after it."""
+    after it; where it ``interleaves``, it writes row ``j`` of the block in
+    place ``s`` to row ``j * count + s``, where the gather would put it."""
 
     def __init__(self, m: DyadicMatrix, count: int = 1):
-        self.m, self.count = m, count
+        self.m, self.count, self.block = m, count, m.rows
         self.shift = m.shift
         self.norm = m.row_norm()
         self.num = m.numerators()
         self.num_real = self.num.astype(np.float64)
-        self.paired, self.rows = False, None
+        self.paired, self.rows, self.interleaves = False, None, False
 
     def reading(self, layout: "_Layout") -> "_Dense":
         """This product on blocks stored in ``layout``, each holding one block."""
@@ -413,16 +419,19 @@ class _Dense(_BlockStage):
         st.rows = rows
         return st
 
-    def run(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        shape = x.shape[:-2] + (self.count, self.m.rows, x.shape[-1])
+    def run(self, x: np.ndarray, out: np.ndarray | None, cols: int) -> np.ndarray:
+        x = x.reshape(-1, self.count, self.block, cols)
         num = self.num_real if x.dtype.kind == "f" else self.num
-        y = np.matmul(num, x.reshape(shape), out=None if out is None else out.reshape(shape))
-        return y.reshape(x.shape)
+        written = (len(x), self.block, self.count, cols) if self.interleaves else x.shape
+        out = np.empty(written, x.dtype) if out is None else out.reshape(written)
+        np.matmul(num, x, out=out.swapaxes(1, 2) if self.interleaves else out)
+        return out
 
     def __str__(self) -> str:
         cols = ", columns in pair order" if self.paired else ""
         rows = "" if self.rows is None else f", row multipliers {_set(self.rows.multipliers())}"
-        return f"dense {self.m.rows}x{self.m.rows} product{self._on()}{cols}{rows}, shift {self.shift}"
+        into = ", rows interleaved into place" if self.interleaves else ""
+        return f"dense {self.m.rows}x{self.m.rows} product{self._on()}{cols}{rows}{into}, shift {self.shift}"
 
 
 def _set(values: np.ndarray) -> str:
@@ -549,7 +558,8 @@ def _paired(stages: tuple, size: int, scale: float) -> list:
     gather is sealed once a butterfly or leaf follows it, or the plan ends;
     sealed right after a leaf, a permutation hands power-of-two multipliers
     to the leaf's rows, where float products stay exact and int64 ones
-    within ``growth``, and then only moves rows.
+    within ``growth``, and then only moves rows, or at the end of the plan
+    goes into the leaf's rows where it can (:func:`_end_at_leaf`).
     """
     out: list = []
     layout = _Layout(np.arange(size))
@@ -597,7 +607,31 @@ def _paired(stages: tuple, size: int, scale: float) -> list:
         last = out.pop() if out and isinstance(out[-1], _Gather) else _Gather(np.arange(size))
         out.append(_Gather(last.index, last.mult, last.shift, scale))
     seal()
+    _end_at_leaf(out)
     return out
+
+
+def _end_at_leaf(out: list) -> None:
+    """Fold a permutation that ends ``out`` into the leaf before it, where each
+    output row ``j * count + s`` takes a row of one block, then stored in place ``s``."""
+    bf, leaf, g = ([None] * 3 + out)[-3:]
+    if not (isinstance(leaf, _Dense) and isinstance(g, _Gather) and g._real is None and g.mult is None):
+        return
+    count, m = leaf.count, leaf.block
+    src = g.index.reshape(m, count).T  # output row j * count + s takes storage row src[s, j]
+    blocks = src[:, 0] // m
+    if not g.permutes or np.any(src // m != blocks[:, None]):
+        return
+    if np.any(blocks != np.arange(count)):  # the butterfly run stores them, alike in each of its blocks
+        slices = blocks[: bf.k] if isinstance(bf, _Butterfly) and bf.rows == m else None
+        if slices is None or not np.array_equal(_tiled(slices, count), blocks):
+            return
+        bf = out[-3] = copy.copy(bf)
+        bf.hadamard, bf.hadamard_real, bf.slices = bf.hadamard[slices], bf.hadamard_real[slices], slices
+    st, rows = copy.copy(leaf), (blocks[:, None], src % m)
+    st.num, st.num_real = (np.broadcast_to(a, (count, m, m))[rows] for a in (leaf.num, leaf.num_real))
+    st.shift, st.interleaves = leaf.shift + g.shift, True
+    out[-2:] = [st]
 
 
 class Plan:
@@ -610,13 +644,13 @@ class Plan:
     every intermediate ratio.  The exact path proves with it that int64 cannot
     wrap, and that a batch whose peak times ``growth`` stays below 2**53 is
     exact on the float64 stages, which multiply by integers and by one power
-    of two (the last gather's ``2**-shift``).
+    of two (``2**-shift``, in the leaf's rows or in the last gather).
 
     ``stages`` are in the factors' row order; they are tiled into the plans
     of enclosing block-diags, and ``shift`` and ``growth`` are theirs.  The
-    stages as run (:func:`_paired`) keep the rows in pair order, which moves
-    rows and flips signs only, and a leaf there may take the multipliers of
-    the gather after it, so ``growth`` still bounds every stage.
+    stages as run (:func:`_paired`) only move rows and flip signs to keep
+    pair order, so ``growth`` still bounds every stage: the plan ends at its
+    leaf up to N = 128, and from N = 256 a last gather stays.
     """
 
     def __init__(self, size: int, stages: list):
@@ -631,38 +665,26 @@ class Plan:
         return tuple(_paired(self.stages, self.size, 2.0**-self.shift))
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        """The stages along axis -2 of ``x`` (only read): numerators of int input,
-        values of float.  Wider input ping-pongs between two arrays allocated
-        here; one column is cheaper on each stage's own fresh output."""
-        stages = self._executed
-        if not stages:
+        """The stages, each in its fixed geometry, along axis -2 of ``x`` (only
+        read) or down a vector: numerators of int input, values of float."""
+        stages, shape, cols = self._executed, x.shape, x.shape[-1] if x.ndim > 1 else 1
+        if not stages or not x.size:
             return x.copy()
-        if x.shape[-1] == 1:
-            for st in stages:
-                x = st.run(x, None)
-            return x
-        buffers = (np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype))
+        buffers = (None, None) if cols == 1 else (np.empty(x.size, x.dtype), np.empty(x.size, x.dtype))
         for i, st in enumerate(stages):
-            x = st.run(x, buffers[i & 1])
-        return x
+            x = st.run(x, buffers[i & 1], cols)
+        return x.reshape(shape)
 
     def apply_exact(self, x) -> DyadicMatrix:
         """Exact image of ints and DyadicRationals, or of a DyadicMatrix, as a
         DyadicMatrix shaped like the input: (N,) for a vector, (N, B) for a batch.
 
-        One pass: ``aligned_numerators`` converts once and takes a vector's
-        peak from one reduction, the shape is checked once, and a vector runs
-        as one column on the int64 stages.  The stages' fresh output is adopted
-        unchecked, with one common-power-of-two reduction: ``aligned_numerators``
-        has raised OverflowError where peak times ``growth`` reaches 2**62."""
+        One pass: one conversion, one peak (OverflowError where peak times
+        ``growth`` reaches 2**62), one shape check, the stages (float64 ones for
+        a wider batch below 2**53) and one common-power-of-two reduction."""
         num, shift, peak = aligned_numerators(x, self.growth)
         _check_rows(num.shape, self.size)
-        # one column is cheaper on the int64 stages than with two conversions;
-        # a wider batch below 2**53 is exact on the float64 stages, where
-        # every stage value and partial sum is an integer
-        if num.ndim == 1:
-            out = self.run(num[:, None]).ravel()
-        elif num.shape[1] > 1 and peak * self.growth < 2**53:
+        if num.ndim == 2 and num.shape[1] > 1 and peak * self.growth < 2**53:
             out = self.run(num.astype(np.float64))
             out = np.multiply(out, 2.0**self.shift, out=out).astype(np.int64)
         else:
@@ -677,7 +699,7 @@ class Plan:
         x = x.astype(np.float64, copy=False)
         if x.ndim < 1 or x.shape[0 if x.ndim == 1 else -2] != self.size:
             raise ValueError(f"expected {self.size} rows, got shape {x.shape}")
-        return self.run(x[:, None])[:, 0] if x.ndim == 1 else self.run(x)
+        return self.run(x)
 
     def lines(self) -> list[str]:
         head = f"plan N={self.size}, shift {self.shift}, growth {self.growth}:"
@@ -701,12 +723,12 @@ def apply(ft: FactoredTransform, x) -> DyadicMatrix | np.ndarray:
     seq = x if isinstance(x, (list, tuple, np.ndarray)) or not np.iterable(x) else list(x)
     values = np.asarray(seq)
     kind = values.dtype.kind
+    if kind in "iub":
+        return ft.apply_exact(values)  # checks the shape
     if kind == "f" and not isinstance(seq, np.ndarray):
         values, kind = np.array(seq, dtype=object), "O"  # ints past int64 make numpy pick float64
     if kind == "O" and all(isinstance(v, (int, np.integer, DyadicRational)) for v in values.flat):
-        kind = "i"
-    if kind in "iub":
-        return ft.apply_exact(values)  # checks the shape
+        return ft.apply_exact(values)
     _check_rows(values.shape, ft.size)
     return ft.apply_real(values.astype(float) if kind == "O" else values)
 

@@ -153,19 +153,18 @@ def aligned_numerators(values, growth: int) -> tuple[np.ndarray, int, int]:
     if isinstance(values, DyadicMatrix):
         arr, shift = values._num, values._shift
     else:
-        arr, shift = values if isinstance(values, np.ndarray) else np.asarray(values), 0
-    if arr.dtype.kind == "O":
+        arr, shift = np.asarray(values), 0
+    kind = arr.dtype.kind
+    if kind == "O":
         shift = max((v.shift for v in arr.flat if isinstance(v, DyadicRational)), default=0)
         arr = np.array([_aligned(v, shift) for v in arr.flat], dtype=object).reshape(arr.shape)
-    elif arr.dtype.kind not in "iub":
+    elif kind not in "iub":
         raise TypeError(f"exact application takes ints and DyadicRationals, got {arr.dtype}")
-    if not arr.size:
-        peak = 0
-    elif arr.ndim == 1:  # one reduction, of abs read as unsigned: abs leaves a signed minimum negative
+    if arr.ndim == 1 and arr.size:  # one reduction, of abs read as unsigned: abs leaves a signed minimum negative
         mag = np.abs(arr)
-        peak = int(np.maximum.reduce(mag.view(_UNSIGNED[mag.itemsize]) if mag.dtype.kind == "i" else mag))
+        peak = int(np.maximum.reduce(mag.view(_UNSIGNED[arr.itemsize]) if kind == "i" else mag))
     else:  # two reductions, and no temporary the size of the batch
-        peak = max(int(arr.max()), -int(arr.min()))
+        peak = max(int(arr.max()), -int(arr.min())) if arr.size else 0
     if peak * growth >= _NUM_LIMIT:
         raise OverflowError(
             f"input magnitude {peak} times worst-case growth {growth} reaches 2**{NUMERATOR_BITS}"

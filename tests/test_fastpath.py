@@ -14,6 +14,8 @@ import hashlib
 import itertools
 import json
 import operator
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from dctscale.fastpath import (
     Plan,
     _Butterfly,
     _Dense,
+    _Gather,
     _Layout,
     _pair_order,
     apply,
@@ -497,15 +500,16 @@ def test_plan_is_flat_with_signs_folded_into_butterflies():
     ft = scale_to(RDCT.matrix, 64, ("VII", "IV", "JAM")).factored
     # one gather into pair order, then the three butterfly levels over all
     # their blocks as one stage, the sign stages of IV and VII taken into the
-    # layout, then one leaf product that reads its columns in pair order and
-    # also takes the mixing multipliers, and one gather that only moves rows:
-    # no sign or scale pass
+    # layout, then one leaf product that reads its columns in pair order,
+    # also takes the mixing multipliers, and writes its rows where the
+    # perfect shuffles put them, with its blocks stored by the butterfly run
+    # in that order: no sign, scale or permutation pass
     assert str(ft.plan).splitlines() == [
         "plan N=64, shift 1, growth 128:",
         "  gather 64, shift 0",
-        "  butterflies 64 to 16: one ±1 product of 8 rows",
-        "  dense 8x8 product on 8 blocks, columns in pair order, row multipliers {-2, -1, 2}, shift 0",
-        "  gather 64, shift 1",
+        "  butterflies 64 to 16: one ±1 product of 8 rows, slices in order [0, 4, 3, 7, 1, 5, 2, 6]",
+        "  dense 8x8 product on 8 blocks, columns in pair order, row multipliers {-2, -1, 2},"
+        " rows interleaved into place, shift 1",
     ]
     x = np.random.default_rng(5).normal(size=(64, 7))
     assert np.allclose(apply(ft, x), ft.dense() @ x, rtol=0, atol=1e-9)
@@ -823,24 +827,31 @@ def _pair_order_cases():
 
 def test_pair_order_plans_match_the_dense_product():
     # every member and method at 16/32/64 plus mixed rdct and bas2 chains up
-    # to 1024: exact (N, B) and one-vector int outputs equal the dense exact
-    # product, float (N, 64) and one-vector outputs the dense float product,
-    # and the plan headers (shift and growth) hash to the values captured
-    # before the pair order
+    # to 1024: exact outputs equal the dense exact product for an (N, 5)
+    # batch of peak 999 (the float64 stages), one of peak 2**53 // growth
+    # (the int64 stages), a vector and an (N, 0) batch; float outputs stay
+    # within 1e-9 of the dense float product for an (N, 64) block, a vector
+    # and a (2, N, 4) array; and the plan headers (shift and growth) hash to
+    # the values captured before the pair order
     rng = np.random.default_rng(2024)
     headers = []
     for approx, chain in _pair_order_cases():
         scaled = _built(approx, chain)
         ft, n = scaled.factored, scaled.size
         headers.append(f"{approx} {'/'.join(chain)} {ft.plan.lines()[0]}")
-        bound = min(999, ((1 << 62) - 1) // ft.plan.growth)
-        x = rng.integers(-bound, bound + 1, size=(n, 5))
-        assert apply(ft, x) == scaled.dyadic @ DyadicMatrix(x)
+        for peak in (min(999, ((1 << 62) - 1) // ft.plan.growth), 2**53 // ft.plan.growth):
+            x = rng.integers(-peak, peak + 1, size=(n, 5))
+            x[0, 0] = peak
+            assert apply(ft, x) == scaled.dyadic @ DyadicMatrix(x), (approx, chain, peak)
         num, shift = scaled.dyadic.numerators(), scaled.dyadic.shift
         assert list(apply(ft, x[:, 0])) == _dense_exact(num, shift, x[:, 0].tolist())
-        for xf in (rng.normal(size=(n, 64)), rng.normal(size=n)):
-            want = scaled.dense @ xf
-            assert np.max(np.abs(apply(ft, xf) - want)) <= 1e-9 * np.max(np.abs(want))
+        empty = np.zeros((n, 0), np.int64)
+        assert apply(ft, empty) == scaled.dyadic @ DyadicMatrix(empty) and apply(ft, empty).shape == (n, 0)
+        for xf in (rng.normal(size=(n, 64)), rng.normal(size=n), rng.normal(size=(2, n, 4))):
+            want = np.einsum("ij,...jb->...ib", scaled.dense, xf) if xf.ndim == 3 else scaled.dense @ xf
+            got = ft.apply_real(xf) if xf.ndim == 3 else apply(ft, xf)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
     digest = hashlib.sha256("\n".join(headers).encode()).hexdigest()
     assert len(headers) == 246
     assert digest == "94d68a4e180617901f8f63e7e673b95779eb93ea09816cb5e0844c85ed375c1c"
@@ -921,7 +932,8 @@ def test_executed_plan_text_is_pinned():
     # the full text of every stage as run, for the pair-order cases, lone and
     # composed butterflies, a leaf alone and before a permutation with and
     # without power-of-two multipliers, and a gather that only shifts, hashes
-    # to the value captured before the rewrite passes were merged into one
+    # to the value captured once the permutation that ended the plan went
+    # into the leaf's rows and the butterfly run's slice order
     perm = np.array([3, 1, 0, 2, 7, 5, 4, 6])
     fts = [_built(approx, chain).factored for approx, chain in _pair_order_cases()]
     fts += [FactoredTransform(n, (Factor.butterfly(n),)) for n in (2, 6, 8)]
@@ -936,7 +948,7 @@ def test_executed_plan_text_is_pinned():
     ]
     text = "\n\n".join(str(ft.plan) for ft in fts)
     assert len(fts) == 256
-    assert hashlib.sha256(text.encode()).hexdigest() == "ce9c1160e50c219a48061fbc8a6018bba2e8c6667b8368b7f935e608dfe68868"
+    assert hashlib.sha256(text.encode()).hexdigest() == "9f9c43561521aa91dc05b82c40838becf4642ec61dfb961348761fa84776b6a9"
 
 
 @pytest.mark.parametrize(
@@ -961,6 +973,95 @@ def test_pair_order_on_lone_and_composed_butterflies(ft):
     assert list(apply(ft, x[:, 1])) == _dense_exact(ft.dyadic().numerators(), ft.dyadic().shift, x[:, 1].tolist())
     xf = rng.normal(size=(n, 64))
     assert np.allclose(apply(ft, xf), ft.dense() @ xf, rtol=0, atol=1e-9)
+
+
+def test_plan_ends_at_its_leaf_where_the_output_permutation_folds():
+    # every pair-order case up to N = 128 ends at its leaf, which writes its
+    # rows into place; at N = 256 and 1024 the last butterfly run, on more
+    # than one block, cannot store the leaf blocks in output order, and the
+    # gather that only moves rows stays after a leaf that writes its blocks
+    # in order (the outputs are checked in the test above)
+    stays = []
+    for approx, chain in _pair_order_cases():
+        ft = _built(approx, chain).factored
+        *_, before, last = ft.plan._executed
+        if isinstance(last, _Gather):
+            stays.append(f"{approx} {ft.size}")
+            assert isinstance(before, _Dense) and not before.interleaves
+            assert last.mult is None and last.permutes
+        else:
+            assert last.interleaves and ft.size <= 128, (approx, chain)
+    assert stays == ["rdct 256", "rdct 1024", "bas2 256", "bas2 1024"]
+
+
+def test_plans_match_the_factor_product_to_n256():
+    # the factor product, with each gather taken as signed rows of the
+    # running product, is the index-built matrix of the scaled transform at
+    # N = 128 (the plan ends at its leaf) and 256 (the gather stays), and
+    # the plan gives it on the identity and on an int batch and vector
+    rng = np.random.default_rng(22)
+    sizes = []
+    for approx, chain in _pair_order_cases():
+        scaled = _built(approx, chain)
+        if scaled.size not in (128, 256):
+            continue
+        ft, n = scaled.factored, scaled.size
+        product = ft.dyadic()
+        assert product == scaled.dyadic
+        assert apply(ft, DyadicMatrix.identity(n)) == product
+        x = rng.integers(-999, 1000, size=(n, 3))
+        assert apply(ft, x) == product @ DyadicMatrix(x)
+        assert apply(ft, x[:, 0]) == product @ DyadicMatrix(x[:, 0])
+        sizes.append(n)
+    assert sizes == [128, 256, 128, 256]
+
+
+def test_factor_product_takes_gather_rows_exactly():
+    # a gather multiplies the running product as a signed row take over the
+    # sum of the shifts; where multiplier times numerator could pass int64,
+    # it multiplies as the dense product, which reduces before it checks the
+    # 62 bits
+    leaf = Factor.leaf(DyadicMatrix([[2**30, 0], [0, 1]]))
+    signed = FactoredTransform(2, (Factor.gather([1, 0], [-3, 1], 2), leaf))
+    assert signed.dyadic() == DyadicMatrix([[0, -3], [2**30, 0]], 2)
+    reduced = FactoredTransform(2, (Factor.gather([1, 0], [2**40, 1], 61), leaf))
+    assert reduced.dyadic() == DyadicMatrix([[0, 2**10], [1, 0]], 31)
+    with pytest.raises(OverflowError, match="62 bits"):
+        FactoredTransform(2, (Factor.gather([0, 1], [2**40, 1]), leaf)).dyadic()
+
+
+def test_one_transform_applies_from_four_threads_at_once():
+    # the prepared stages share no scratch between calls: each of 4 threads
+    # running at once makes 200 calls each on its own int vector, int batch
+    # and float block, and gets the single-thread results bit for bit
+    ft = scale_to(RDCT.matrix, 64, ("VII", "IV", "JAM")).factored
+    rng = np.random.default_rng(4)
+    inputs = [
+        [rng.integers(-255, 256, size=64).tolist(), rng.integers(-255, 256, size=(64, 7)), rng.normal(size=(64, 256))]
+        for _ in range(4)
+    ]
+    wants = [[apply(ft, x) for x in mine] for mine in inputs]
+    start, wrong = threading.Barrier(4), []
+
+    def work(k: int) -> None:
+        start.wait()
+        for i in range(600):
+            j = i % 3  # every thread on the same kind of input at once
+            got = apply(ft, inputs[k][j])
+            if not (got == wants[k][j] if j < 2 else np.array_equal(got, wants[k][j])):
+                wrong.append((k, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 # ── composition ────────────────────────────────────────────────────────────
