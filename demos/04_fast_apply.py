@@ -8,11 +8,11 @@ one subtract over contiguous halves of all its blocks at once; the
 alternating sign stage of methods IV-VII only flips signs in that order.
 Up to four levels together are one product with a +-1 Hadamard matrix,
 run as one matmul on float input.  The catalog blocks are one batched
-dense 8x8 product, which reads its columns in pair order and also takes
-in the mixing stages' multipliers; and one gather moves the rows into
-place.  On
-integer input the plan runs in int64 numerators over one power-of-two
-shift and is exact.
+dense 8x8 product, which reads its columns in pair order, also takes in
+the mixing stages' multipliers and writes its rows where the perfect
+shuffles put them, so the plan ends at it (from N = 256 one gather still
+moves the rows into place).  On integer input the plan runs in int64
+numerators over one power-of-two shift and is exact.
 """
 import numpy as np
 

@@ -22,7 +22,6 @@ from .analysis import (
 from .catalog import (
     APPROXIMATION_IDS,
     ApproximationEntry,
-    list_ids,
     load,
     orthogonalize,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "frobenius_distance",
     "is_diagonal",
     "is_generalized_permutation",
-    "list_ids",
     "load",
     "method_blocks",
     "mse",

@@ -73,10 +73,6 @@ class ApproximationEntry:
     source: str
 
 
-def list_ids() -> tuple[str, ...]:
-    return APPROXIMATION_IDS
-
-
 def parse_matrix_text(text: str) -> DyadicMatrix:
     """Parse the data-file format: first value N, then N rows of N entries.
 

@@ -271,7 +271,7 @@ class _Gather:
         self._column = None if self.mult is None else self.mult[:, None]
         scaled = self.mult is not None or scale != 1
         self._real = self.multipliers()[:, None] * scale if scaled else None
-        self.shift = shift
+        self.shift, self.scale = shift, scale
         self.norm = 1 if self.mult is None else int(np.abs(self.mult).max(initial=0))
         for a in (self.index, self.mult, self._column, self._real):
             if a is not None:
@@ -306,7 +306,7 @@ class _Gather:
         """One gather doing ``self`` first, then ``other``."""
         theirs = 1 if other.mult is None else other.mult
         mult = self.multipliers()[other.index] * theirs
-        return _Gather(self.index[other.index], mult, self.shift + other.shift)
+        return _Gather(self.index[other.index], mult, self.shift + other.shift, self.scale * other.scale)
 
     def tiled(self, count: int) -> "_Gather":
         """The same gather on each of ``count`` consecutive blocks."""
@@ -387,9 +387,10 @@ class _Butterfly(_BlockStage):
 class _Dense(_BlockStage):
     """A dense numerator product ``num @ x`` over ``2**shift`` on each block.  As
     run, a block may hold its own numerators: columns permuted and signed to
-    read its rows in pair order, and rows times the multipliers of the gather
-    after it; where it ``interleaves``, it writes row ``j`` of the block in
-    place ``s`` to row ``j * count + s``, where the gather would put it."""
+    read its rows in pair order, and, ending the plan, rows times the
+    multipliers of the gather it took in; where it ``interleaves``, it writes
+    row ``j`` of the block in place ``s`` to row ``j * count + s``, where that
+    gather would put it."""
 
     def __init__(self, m: DyadicMatrix, count: int = 1):
         self.m, self.count, self.block = m, count, m.rows
@@ -410,15 +411,6 @@ class _Dense(_BlockStage):
         st.paired = True
         return st
 
-    def scaled_by(self, rows: _Gather) -> "_Dense":
-        """This product times the multipliers of ``rows``, the gather after it."""
-        inverse = np.argsort(rows.index).reshape(self.count, -1, 1)  # row r goes to inverse[r]
-        st = copy.copy(self)
-        st.num = rows.multipliers()[inverse] * self.num
-        st.num_real = rows._real[inverse, 0] * self.num_real
-        st.rows = rows
-        return st
-
     def run(self, x: np.ndarray, out: np.ndarray | None, cols: int) -> np.ndarray:
         x = x.reshape(-1, self.count, self.block, cols)
         num = self.num_real if x.dtype.kind == "f" else self.num
@@ -429,7 +421,7 @@ class _Dense(_BlockStage):
 
     def __str__(self) -> str:
         cols = ", columns in pair order" if self.paired else ""
-        rows = "" if self.rows is None else f", row multipliers {_set(self.rows.multipliers())}"
+        rows = "" if self.rows is None else f", row multipliers {_set(self.rows)}"
         into = ", rows interleaved into place" if self.interleaves else ""
         return f"dense {self.m.rows}x{self.m.rows} product{self._on()}{cols}{rows}{into}, shift {self.shift}"
 
@@ -450,11 +442,11 @@ def _compile(f: Factor) -> list:
 
 
 def _push_gather(out: list, g: _Gather) -> None:
-    """Append ``g`` to ``out``, merged into a gather that ends it; drop identities."""
+    """Append ``g`` to ``out``, merged into a gather that ends it; drop unscaled identities."""
     # fused multipliers are int64 products, so only small ones are merged
     if out and isinstance(out[-1], _Gather) and out[-1].norm * g.norm < 1 << NUMERATOR_BITS:
         g = out.pop().then(g)
-    if not (g.unpermuted and g.mult is None and not g.shift):
+    if not (g.unpermuted and g._real is None and not g.shift):
         out.append(g)
 
 
@@ -553,13 +545,9 @@ def _paired(stages: tuple, size: int, scale: float) -> list:
     pairs the layout does not hold half a block apart gets a gather to the
     pair order of the run it starts; a leaf takes the layout into its
     columns where each storage block holds one of its blocks; every other
-    gather, and the end of the plan, take the layout into their index.  The
-    last gather, appended where none ends the plan, takes ``scale``.  A
-    gather is sealed once a butterfly or leaf follows it, or the plan ends;
-    sealed right after a leaf, a permutation hands power-of-two multipliers
-    to the leaf's rows, where float products stay exact and int64 ones
-    within ``growth``, and then only moves rows, or at the end of the plan
-    goes into the leaf's rows where it can (:func:`_end_at_leaf`).
+    gather, and the end of the plan, take the layout into their index.
+    ``scale`` is one more gather, merged into the one that ends the plan,
+    which goes into the leaf before it where it can (:func:`_end_at_leaf`).
     """
     out: list = []
     layout = _Layout(np.arange(size))
@@ -567,16 +555,6 @@ def _paired(stages: tuple, size: int, scale: float) -> list:
     def settle(order: np.ndarray) -> _Layout:
         _push_gather(out, layout.gather_to(order))
         return _Layout(order)
-
-    def seal() -> None:
-        k = len(out)  # out[k:] are the gathers that end out; out[k] may follow a leaf
-        while k and isinstance(out[k - 1], _Gather):
-            k -= 1
-        if 0 < k < len(out) and isinstance(out[k - 1], _Dense) and out[k]._real is not None:
-            g, mag = out[k], np.abs(out[k].multipliers())
-            if g.permutes and np.all((mag > 0) & (mag & (mag - 1) == 0)):
-                out[k - 1] = out[k - 1].scaled_by(g)
-                out[k : k + 1] = [] if g.unpermuted else [_Gather(g.index, None, g.shift)]
 
     for k, st in enumerate(stages):
         if isinstance(st, _Butterfly):
@@ -600,27 +578,36 @@ def _paired(stages: tuple, size: int, scale: float) -> list:
             layout = settle(np.arange(size))
             _push_gather(out, st)
             continue
-        seal()
         out.append(st)
     settle(np.arange(size))
-    if scale != 1:
-        last = out.pop() if out and isinstance(out[-1], _Gather) else _Gather(np.arange(size))
-        out.append(_Gather(last.index, last.mult, last.shift, scale))
-    seal()
+    _push_gather(out, _Gather(np.arange(size), scale=scale))
     _end_at_leaf(out)
     return out
 
 
 def _end_at_leaf(out: list) -> None:
-    """Fold a permutation that ends ``out`` into the leaf before it, where each
-    output row ``j * count + s`` takes a row of one block, then stored in place ``s``."""
+    """Fold the gather that ends ``out`` into the leaf before it, where it is a
+    permutation with power-of-two multipliers: they and the float scale go
+    into the leaf's rows, where float products stay exact and int64 ones
+    within ``growth``.  The row order goes in too, and the gather goes, where
+    each output row ``j * count + s`` takes a row of one block, then stored in
+    place ``s``; elsewhere a gather that only moves rows stays."""
     bf, leaf, g = ([None] * 3 + out)[-3:]
-    if not (isinstance(leaf, _Dense) and isinstance(g, _Gather) and g._real is None and g.mult is None):
+    if not (isinstance(leaf, _Dense) and isinstance(g, _Gather) and g.permutes):
+        return
+    mag = np.abs(g.multipliers())
+    if not np.all((mag > 0) & (mag & (mag - 1) == 0)):
         return
     count, m = leaf.count, leaf.block
+    st = out[-2] = copy.copy(leaf)
+    if g._real is not None:
+        inverse = np.argsort(g.index).reshape(count, m, 1)  # storage row r goes to inverse[r]
+        st.num, st.num_real = g.multipliers()[inverse] * leaf.num, g._real[inverse, 0] * leaf.num_real
+        st.rows = g.multipliers()
+    out[-1:] = [] if g.unpermuted else [_Gather(g.index, None, g.shift)]
     src = g.index.reshape(m, count).T  # output row j * count + s takes storage row src[s, j]
     blocks = src[:, 0] // m
-    if not g.permutes or np.any(src // m != blocks[:, None]):
+    if g.unpermuted or np.any(src // m != blocks[:, None]):
         return
     if np.any(blocks != np.arange(count)):  # the butterfly run stores them, alike in each of its blocks
         slices = blocks[: bf.k] if isinstance(bf, _Butterfly) and bf.rows == m else None
@@ -628,10 +615,10 @@ def _end_at_leaf(out: list) -> None:
             return
         bf = out[-3] = copy.copy(bf)
         bf.hadamard, bf.hadamard_real, bf.slices = bf.hadamard[slices], bf.hadamard_real[slices], slices
-    st, rows = copy.copy(leaf), (blocks[:, None], src % m)
-    st.num, st.num_real = (np.broadcast_to(a, (count, m, m))[rows] for a in (leaf.num, leaf.num_real))
-    st.shift, st.interleaves = leaf.shift + g.shift, True
-    out[-2:] = [st]
+    rows = (blocks[:, None], src % m)
+    st.num, st.num_real = (np.broadcast_to(a, (count, m, m))[rows] for a in (st.num, st.num_real))
+    st.shift, st.interleaves = st.shift + g.shift, True
+    out.pop()
 
 
 class Plan:
@@ -644,13 +631,14 @@ class Plan:
     every intermediate ratio.  The exact path proves with it that int64 cannot
     wrap, and that a batch whose peak times ``growth`` stays below 2**53 is
     exact on the float64 stages, which multiply by integers and by one power
-    of two (``2**-shift``, in the leaf's rows or in the last gather).
+    of two (``2**-shift``, in the last gather or the leaf it went into).
 
     ``stages`` are in the factors' row order; they are tiled into the plans
     of enclosing block-diags, and ``shift`` and ``growth`` are theirs.  The
     stages as run (:func:`_paired`) only move rows and flip signs to keep
-    pair order, so ``growth`` still bounds every stage: the plan ends at its
-    leaf up to N = 128, and from N = 256 a last gather stays.
+    pair order, and the last gather may go into the leaf before it, so
+    ``growth`` still bounds every stage: the plan ends at its leaf up to
+    N = 128, and from N = 256 a last gather that only moves rows stays.
     """
 
     def __init__(self, size: int, stages: list):

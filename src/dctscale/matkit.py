@@ -82,10 +82,6 @@ class DyadicRational:
         # an integer value hashes as its int, which it equals
         return hash(self.numerator if self.shift == 0 else (self.numerator, self.shift))
 
-    def is_unit_magnitude(self) -> bool:
-        """True when the value is +1 or -1 (applying it is free)."""
-        return self.shift == 0 and abs(self.numerator) == 1
-
     def __repr__(self) -> str:
         return f"DyadicRational({self})"
 
@@ -324,10 +320,6 @@ class DyadicMatrix:
     def to_real(self) -> np.ndarray:
         """float64 image, exact at each entry whose numerator is below 2**53."""
         return self._num.astype(np.float64) / float(1 << self._shift)
-
-    def max_entry_shift(self) -> int:
-        """Largest canonical per-entry shift (0 for an integer matrix)."""
-        return int(canonical(self._num, self._shift)[1].max(initial=0))
 
     # -- arithmetic ----------------------------------------------------
 

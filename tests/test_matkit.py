@@ -103,14 +103,6 @@ def test_rational_float_vs_fraction():
         assert float(a) == float(_frac(a))
 
 
-def test_rational_unit_magnitude():
-    assert DyadicRational(1).is_unit_magnitude()
-    assert DyadicRational(-1).is_unit_magnitude()
-    assert not DyadicRational(2).is_unit_magnitude()
-    assert not DyadicRational(1, 1).is_unit_magnitude()
-    assert not DyadicRational(0).is_unit_magnitude()
-
-
 # ── DyadicMatrix ───────────────────────────────────────────────────────────
 
 
@@ -346,23 +338,10 @@ def test_vector_reads_as_canonical_entries():
         list(m)
 
 
-def test_matrix_equality_and_max_entry_shift():
+def test_matrix_equality_and_hash():
     a = DyadicMatrix([[1, 2], [3, 4]], 1)
     b = DyadicMatrix([[2, 4], [6, 8]], 2)
     assert a == b and hash(a) == hash(b)
-    assert a.max_entry_shift() == 1  # 1/2 and 3/2 entries
-    assert DyadicMatrix.identity(4).max_entry_shift() == 0
-
-
-def test_max_entry_shift_matches_per_entry_shifts():
-    rng = np.random.default_rng(7)
-    for shift in (0, 1, 4, 62, 70):
-        num = rng.integers(-40, 41, size=(9, 13)) * (1 << int(rng.integers(0, 4)))
-        num[0, 0] = 1 if shift else 0  # keep the shift from normalizing away
-        m = DyadicMatrix(num, shift)
-        want = max(e.shift for row in m.entries() for e in row)
-        assert m.max_entry_shift() == want
-    assert DyadicMatrix.zeros(3).max_entry_shift() == 0
 
 
 # ── free helpers ───────────────────────────────────────────────────────────
