@@ -36,7 +36,6 @@ from .exact import (
 from .fastpath import Factor, FactoredTransform, FactorKind, count_dense_dyadic
 from .matkit import (
     DyadicMatrix,
-    DyadicRational,
     frobenius_distance,
     is_diagonal,
     is_generalized_permutation,
@@ -68,7 +67,6 @@ __all__ = [
     "ApproximationEntry",
     "DYADIC_METHOD_IDS",
     "DyadicMatrix",
-    "DyadicRational",
     "ErrorPoint",
     "Factor",
     "FactorKind",

@@ -16,7 +16,7 @@ an arithmetic-cost model where additions and shifts are counted per
 factor.  Any factor may carry a ``declared_cost`` in place of its counted
 one; a catalog leaf declares its published fast-algorithm count.
 
-:func:`apply` runs ints, bools, DyadicRationals and DyadicMatrix input exactly;
+:func:`apply` runs ints, bools, dyadic rationals and DyadicMatrix input exactly;
 each exact result is one :class:`DyadicMatrix`, int64 numerators over one
 power-of-two shift shaped like the input, (N,) or (N, B), which can be
 applied again.  The rest runs in float and comes back as a float64 array.
@@ -41,6 +41,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
@@ -51,7 +52,6 @@ from .exact import butterfly, gather_matrix
 from .matkit import (
     NUMERATOR_BITS,
     DyadicMatrix,
-    DyadicRational,
     _as_int_array,
     _integer,
     aligned_numerators,
@@ -322,7 +322,7 @@ class _Gather:
             # check, done when built, and the copy "raise" makes of ``out``
             x = out = x.take(self._take, axis=1, out=out, mode="clip")
         elif column is None:
-            return np.positive(x, out=out)  # a bare shift only copies
+            return np.positive(x, out=out)  # nothing to move or scale: still a fresh result
         return x if column is None else np.multiply(x, column, out=out)
 
     def __str__(self) -> str:
@@ -541,16 +541,17 @@ def _tiled(order: np.ndarray, size: int) -> np.ndarray:
 def _paired(stages: tuple, size: int, scale: float) -> list:
     """The stages as run: in pair order, and times ``scale`` on float input.
 
-    A signed-permutation gather only changes the layout.  A butterfly whose
-    pairs the layout does not hold half a block apart gets a gather to the
-    pair order of the run it starts; a leaf takes the layout into its
-    columns where each storage block holds one of its blocks; every other
-    gather, and the end of the plan, take the layout into their index.
-    ``scale`` is one more gather, merged into the one that ends the plan,
-    which goes into the leaf before it where it can (:func:`_end_at_leaf`).
+    A signed-permutation gather only changes the layout, and its shift goes
+    to the end of the plan.  A butterfly whose pairs the layout does not hold
+    half a block apart gets a gather to the pair order of the run it starts;
+    a leaf takes the layout into its columns where each storage block holds
+    one of its blocks; every other gather, and the end of the plan, take the
+    layout into their index.  ``scale`` and the shifts kept back are one
+    more gather, merged into the one that ends the plan, which goes into the
+    leaf before it where it can (:func:`_end_at_leaf`).
     """
     out: list = []
-    layout = _Layout(np.arange(size))
+    layout, shift = _Layout(np.arange(size)), 0
 
     def settle(order: np.ndarray) -> _Layout:
         _push_gather(out, layout.gather_to(order))
@@ -571,8 +572,8 @@ def _paired(stages: tuple, size: int, scale: float) -> list:
             if not layout.is_identity():
                 st = st.reading(layout)
                 layout = layout.after_blocks(st.m.rows)
-        elif not st.shift and st.norm == 1 and st.permutes and np.all(st.multipliers() != 0):
-            layout = layout.then(st)
+        elif st.norm == 1 and st.permutes and np.all(st.multipliers() != 0):
+            layout, shift = layout.then(st), shift + st.shift
             continue
         else:
             layout = settle(np.arange(size))
@@ -580,7 +581,7 @@ def _paired(stages: tuple, size: int, scale: float) -> list:
             continue
         out.append(st)
     settle(np.arange(size))
-    _push_gather(out, _Gather(np.arange(size), scale=scale))
+    _push_gather(out, _Gather(np.arange(size), shift=shift, scale=scale))
     _end_at_leaf(out)
     return out
 
@@ -589,9 +590,9 @@ def _end_at_leaf(out: list) -> None:
     """Fold the gather that ends ``out`` into the leaf before it, where it is a
     permutation with power-of-two multipliers: they and the float scale go
     into the leaf's rows, where float products stay exact and int64 ones
-    within ``growth``.  The row order goes in too, and the gather goes, where
-    each output row ``j * count + s`` takes a row of one block, then stored in
-    place ``s``; elsewhere a gather that only moves rows stays."""
+    within ``growth``.  Its shift and row order go in too, and it goes, where
+    it moves no row or each output row ``j * count + s`` takes a row of one
+    block, then stored in place ``s``; else it stays to move rows, with its shift."""
     bf, leaf, g = ([None] * 3 + out)[-3:]
     if not (isinstance(leaf, _Dense) and isinstance(g, _Gather) and g.permutes):
         return
@@ -604,10 +605,14 @@ def _end_at_leaf(out: list) -> None:
         inverse = np.argsort(g.index).reshape(count, m, 1)  # storage row r goes to inverse[r]
         st.num, st.num_real = g.multipliers()[inverse] * leaf.num, g._real[inverse, 0] * leaf.num_real
         st.rows = g.multipliers()
-    out[-1:] = [] if g.unpermuted else [_Gather(g.index, None, g.shift)]
+    if g.unpermuted:
+        st.shift += g.shift
+        out.pop()
+        return
+    out[-1] = _Gather(g.index, None, g.shift)
     src = g.index.reshape(m, count).T  # output row j * count + s takes storage row src[s, j]
     blocks = src[:, 0] // m
-    if g.unpermuted or np.any(src // m != blocks[:, None]):
+    if np.any(src // m != blocks[:, None]):
         return
     if np.any(blocks != np.arange(count)):  # the butterfly run stores them, alike in each of its blocks
         slices = blocks[: bf.k] if isinstance(bf, _Butterfly) and bf.rows == m else None
@@ -664,7 +669,7 @@ class Plan:
         return x.reshape(shape)
 
     def apply_exact(self, x) -> DyadicMatrix:
-        """Exact image of ints and DyadicRationals, or of a DyadicMatrix, as a
+        """Exact image of ints and dyadic rationals, or of a DyadicMatrix, as a
         DyadicMatrix shaped like the input: (N,) for a vector, (N, B) for a batch.
 
         One pass: one conversion, one peak (OverflowError where peak times
@@ -700,11 +705,12 @@ class Plan:
 def apply(ft: FactoredTransform, x) -> DyadicMatrix | np.ndarray:
     """Apply the factored transform to a vector or to the columns of a batch.
 
-    A DyadicMatrix, and integer, bool or dyadic-rational values as lists or
-    arrays, come back exact as one DyadicMatrix shaped like the input, (N,)
-    or (N, B), so an exact result can be applied again; exact images past
-    62 bits raise OverflowError, complex input TypeError.  The rest runs in
-    float and comes back as a float64 array.
+    A DyadicMatrix, and integer, bool or rational values (Fractions) as lists
+    or arrays, come back exact as one DyadicMatrix shaped like the input, (N,)
+    or (N, B), so an exact result can be applied again; a denominator other
+    than a power of two raises ValueError, exact images past 62 bits
+    OverflowError, complex input TypeError.  The rest runs in float and
+    comes back as a float64 array.
     """
     if isinstance(x, DyadicMatrix):
         return ft.apply_exact(x)
@@ -715,7 +721,7 @@ def apply(ft: FactoredTransform, x) -> DyadicMatrix | np.ndarray:
         return ft.apply_exact(values)  # checks the shape
     if kind == "f" and not isinstance(seq, np.ndarray):
         values, kind = np.array(seq, dtype=object), "O"  # ints past int64 make numpy pick float64
-    if kind == "O" and all(isinstance(v, (int, np.integer, DyadicRational)) for v in values.flat):
+    if kind == "O" and all(isinstance(v, numbers.Rational) for v in values.flat):
         return ft.apply_exact(values)
     _check_rows(values.shape, ft.size)
     return ft.apply_real(values.astype(float) if kind == "O" else values)

@@ -3,12 +3,16 @@
 Real matrices are plain float64 numpy arrays.  Low-complexity matrices are
 held exactly as :class:`DyadicMatrix` (integer numerators over a common
 power-of-two denominator), so Gram products, generalized-permutation checks
-and shift counting never see rounding error.  A permutation has no type
-of its own: it is a gather index array (``exact.perfect_shuffle``).
+and shift counting never see rounding error.  It is the one exact
+representation: entries read out are ``fractions.Fraction`` values, and
+exact input is ints and rationals over powers of two.  A permutation has
+no type of its own: it is a gather index array (``exact.perfect_shuffle``).
 """
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,74 +23,15 @@ _INT64 = np.dtype(np.int64)
 _UNSIGNED = {n: np.dtype(f"u{n}") for n in (1, 2, 4, 8)}
 
 
-class DyadicRational:
-    """A number of the form ``numerator / 2**shift``, kept in canonical form.
+class _Entry(Fraction):
+    """An entry read out of a :class:`DyadicMatrix`: a Fraction, and its ``shift``
+    (the base-2 log of its denominator) for the benchmark's encode oracle."""
 
-    Canonical means the numerator is odd whenever ``shift > 0`` and the
-    shift is zero when the numerator is zero.  Building a value whose
-    numerator needs more than 62 bits raises OverflowError.  Exact
-    arithmetic lives in :class:`DyadicMatrix`; this is one entry, read out.
-    """
+    __slots__ = ()
 
-    __slots__ = ("numerator", "shift")
-
-    def __init__(self, numerator: int, shift: int = 0):
-        # entries read from a DyadicMatrix arrive as plain ints; other input is checked
-        if type(numerator) is not int or type(shift) is not int:
-            numerator, shift = _integer(numerator), _integer(shift)
-        if shift < 0:
-            raise ValueError("shift must be non-negative")
-        if numerator == 0:
-            shift = 0
-        else:
-            while shift > 0 and numerator % 2 == 0:
-                numerator //= 2
-                shift -= 1
-        if abs(numerator) >= _NUM_LIMIT:
-            raise OverflowError(
-                f"dyadic numerator {numerator} exceeds {NUMERATOR_BITS} bits"
-            )
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "shift", shift)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("DyadicRational is immutable")
-
-    @classmethod
-    def parse(cls, text: str) -> "DyadicRational":
-        """Parse ``"3"``, ``"-1/2"``, ``"5/8"`` (denominator a power of two)."""
-        text = text.strip()
-        if "/" in text:
-            num_s, den_s = text.split("/", 1)
-            num = int(num_s)
-            den = int(den_s)
-            if den <= 0 or den & (den - 1):
-                raise ValueError(f"denominator of {text!r} is not a power of two")
-            return cls(num, den.bit_length() - 1)
-        return cls(int(text))
-
-    def __float__(self) -> float:
-        return self.numerator / (1 << self.shift)
-
-    def __bool__(self) -> bool:
-        return self.numerator != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = DyadicRational(other)
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        return self.numerator == other.numerator and self.shift == other.shift
-
-    def __hash__(self):
-        # an integer value hashes as its int, which it equals
-        return hash(self.numerator if self.shift == 0 else (self.numerator, self.shift))
-
-    def __repr__(self) -> str:
-        return f"DyadicRational({self})"
-
-    def __str__(self) -> str:
-        return dyadic_str(self.numerator, self.shift)
+    @property
+    def shift(self) -> int:
+        return self.denominator.bit_length() - 1
 
 
 def _integer(value) -> int:
@@ -135,16 +80,17 @@ def canonical(num: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
 def aligned_numerators(values, growth: int) -> tuple[np.ndarray, int, int]:
     """int64 numerators of ``values`` over one shift, and their peak magnitude.
 
-    A :class:`DyadicMatrix` gives its own numerators and shift.  Other values,
-    ints and DyadicRationals of any shape, go over their largest shift; an
-    array is taken as it is, and an int64 one is not copied.  ``peak`` is the
-    largest magnitude: a vector's comes from one reduction, of ``abs`` read
-    as unsigned, and a batch's from ``max`` and ``min``, which make no
-    temporary the size of the batch; both hold at -2**63 and for uint64 at
-    or above 2**63, which the int64 conversion, made after the check, would
-    wrap.  ``growth`` bounds the worst-case gain of a product: where
-    ``peak`` times ``growth`` reaches 2**62, OverflowError is raised.
-    Other values raise TypeError.
+    A :class:`DyadicMatrix` gives its own numerators and shift.  An int or
+    bool array is taken as it is, over shift 0, and an int64 one is not
+    copied.  An object array, of any shape, holds ints, ``numbers.Rational``
+    values or text (:func:`_dyadic`) and goes over their largest shift.
+    ``peak`` is the largest magnitude: a vector's comes from one reduction,
+    of ``abs`` read as unsigned, and a batch's from ``max`` and ``min``,
+    which make no temporary the size of the batch; both hold at -2**63 and
+    for uint64 at or above 2**63, which the int64 conversion, made after the
+    check, would wrap.  ``growth`` bounds the worst-case gain of a product:
+    where ``peak`` times ``growth`` reaches 2**62, OverflowError is raised.
+    Other arrays raise TypeError.
     """
     if isinstance(values, DyadicMatrix):
         arr, shift = values._num, values._shift
@@ -152,10 +98,11 @@ def aligned_numerators(values, growth: int) -> tuple[np.ndarray, int, int]:
         arr, shift = np.asarray(values), 0
     kind = arr.dtype.kind
     if kind == "O":
-        shift = max((v.shift for v in arr.flat if isinstance(v, DyadicRational)), default=0)
-        arr = np.array([_aligned(v, shift) for v in arr.flat], dtype=object).reshape(arr.shape)
+        pairs = [_dyadic(v) for v in arr.flat]
+        shift = max((s for _, s in pairs), default=0)
+        arr = np.array([p << (shift - s) for p, s in pairs], dtype=object).reshape(arr.shape)
     elif kind not in "iub":
-        raise TypeError(f"exact application takes ints and DyadicRationals, got {arr.dtype}")
+        raise TypeError(f"exact application takes ints and rationals, got {arr.dtype}")
     if arr.ndim == 1 and arr.size:  # one reduction, of abs read as unsigned: abs leaves a signed minimum negative
         mag = np.abs(arr)
         peak = int(np.maximum.reduce(mag.view(_UNSIGNED[arr.itemsize]) if kind == "i" else mag))
@@ -168,12 +115,20 @@ def aligned_numerators(values, growth: int) -> tuple[np.ndarray, int, int]:
     return arr if arr.dtype is _INT64 else arr.astype(np.int64), shift, peak
 
 
-def _aligned(v, shift: int) -> int:
-    if isinstance(v, DyadicRational):
-        return v.numerator << (shift - v.shift)
-    if isinstance(v, (int, np.integer)):
-        return int(v) << shift
-    raise TypeError(f"exact application takes ints and DyadicRationals, got {type(v).__name__}")
+def _dyadic(value) -> tuple[int, int]:
+    """``(p, s)`` with ``value == p / 2**s``, for an int or other rational, or
+    for text: an int literal, or two joined by ``/``.  ValueError where the
+    denominator is not a positive power of two, TypeError for other values."""
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        num, den = int(num), int(den) if slash else 1
+    elif isinstance(value, numbers.Rational):
+        num, den = int(value.numerator), int(value.denominator)
+    else:
+        raise TypeError(f"exact application takes ints and rationals, got {type(value).__name__}")
+    if den <= 0 or den & (den - 1):
+        raise ValueError(f"denominator of {value!r} is not a power of two")
+    return num, den.bit_length() - 1
 
 
 def _as_int_array(values) -> np.ndarray:
@@ -214,7 +169,7 @@ class DyadicMatrix:
     common shift: ``value[i, j] = num[i, j] / 2**shift``.  All arithmetic is
     exact; numerators are capped at 62 bits (OverflowError beyond that).  A
     vector also reads as a sequence: ``len``, ``v[i]`` and iteration give
-    canonical DyadicRationals, built only when read, and ``v[a:b]`` a
+    its entries as Fractions, built only when read, and ``v[a:b]`` a
     DyadicMatrix.  The constructor copies and checks its input; a plan's
     exact result is adopted as it comes (:meth:`_owning`), since the plan's
     ``growth`` has already bounded it below 2**62.
@@ -243,12 +198,13 @@ class DyadicMatrix:
 
     @classmethod
     def from_entries(cls, rows: Sequence[Sequence]) -> "DyadicMatrix":
-        """Build from nested ints, strings like ``"-1/2"``, or DyadicRationals,
-        over their largest shift."""
-        parsed = [[DyadicRational.parse(e) if isinstance(e, str) else e for e in row] for row in rows]
-        if len({len(row) for row in parsed}) > 1:
+        """Build from rows of ints, Fractions and other rationals, or text
+        such as ``"3"`` and ``"-1/2"``, over their largest shift; each
+        denominator must be a power of two (:func:`_dyadic`)."""
+        rows = [list(row) for row in rows]
+        if len({len(row) for row in rows}) > 1:
             raise ValueError("ragged rows: every row needs the same number of entries")
-        num, shift, _ = aligned_numerators(np.array(parsed, dtype=object), 1)
+        num, shift, _ = aligned_numerators(np.array(rows, dtype=object), 1)
         return cls(num, shift)
 
     @classmethod
@@ -288,30 +244,30 @@ class DyadicMatrix:
         """Common denominator exponent of the internal representation."""
         return self._shift
 
-    def entry(self, i: int, j: int) -> DyadicRational:
-        return DyadicRational(int(self._num[i, j]), self._shift)
+    def entry(self, i: int, j: int) -> Fraction:
+        return _Entry(int(self._num[i, j]), 1 << self._shift)
 
     def entries(self) -> list["DyadicMatrix"]:
-        """The rows as vectors; each reads as its canonical entries."""
+        """The rows as vectors; each reads as its entries."""
         return [DyadicMatrix(row, self._shift) for row in self._num]
 
     def __len__(self) -> int:
         return self.rows
 
-    def __getitem__(self, key) -> "DyadicRational | DyadicMatrix":
+    def __getitem__(self, key) -> "Fraction | DyadicMatrix":
         """``v[i]``, entry ``i`` of a vector, or ``v[a:b]``, a slice of rows."""
         if isinstance(key, slice):
             return DyadicMatrix(self._num[key], self._shift)
         if self._num.ndim != 1:
             raise TypeError("a matrix entry is read with entry(i, j)")
-        return DyadicRational(int(self._num[key]), self._shift)
+        return _Entry(int(self._num[key]), 1 << self._shift)
 
     def __iter__(self):
-        """The entries of a vector as canonical DyadicRationals, built as read."""
+        """The entries of a vector as Fractions, built as read."""
         if self._num.ndim != 1:
             raise TypeError("only a vector iterates over its entries")
-        nums, shifts = canonical(self._num, self._shift)
-        return map(DyadicRational, nums.tolist(), shifts.tolist())
+        den = 1 << self._shift
+        return (_Entry(num, den) for num in self._num.tolist())
 
     def numerators(self) -> np.ndarray:
         """Copy of the int64 numerator array (over ``2**self.shift``)."""
@@ -387,7 +343,7 @@ class DyadicMatrix:
 
     def apply(self, x) -> "DyadicMatrix":
         """Exact matrix-vector product as a vector DyadicMatrix; ``x`` holds
-        ints or DyadicRationals, or is a vector DyadicMatrix.
+        ints or rationals over powers of two, or is a vector DyadicMatrix.
 
         The inputs are aligned to one shift and multiplied as int64; inputs
         whose worst-case product could reach 62 bits raise OverflowError.

@@ -16,13 +16,14 @@ import json
 import operator
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dctscale import catalog
+from dctscale import catalog, matkit
 from dctscale.exact import (
     StructuralKind,
     butterfly,
@@ -44,7 +45,7 @@ from dctscale.fastpath import (
     count_dense_dyadic,
     to_json,
 )
-from dctscale.matkit import DyadicMatrix, DyadicRational
+from dctscale.matkit import DyadicMatrix
 from dctscale.scaler import DYADIC_METHOD_IDS, scale, scale_to
 
 RDCT = catalog.load("rdct")
@@ -75,7 +76,7 @@ def test_count_dense_dyadic():
 
 
 def _count_per_entry(m: DyadicMatrix) -> tuple[int, int]:
-    """The cost rule applied entry by entry, as DyadicRational objects."""
+    """The cost rule applied entry by entry, as Fractions."""
     adds = shifts = 0
     for row in m.entries():
         nonzero = [e for e in row if e]
@@ -229,7 +230,7 @@ def test_gather_cost_matches_dense_count(n, shift, data):
 
 def test_factor_apply_butterfly():
     f = Factor.butterfly(4)
-    out = f.apply_exact([DyadicRational(v) for v in (1, 2, 3, 4)])
+    out = f.apply_exact([Fraction(v) for v in (1, 2, 3, 4)])
     assert _floats(out).tolist() == [5.0, 5.0, -1.0, -3.0]
     assert f.apply_real(np.array([1.0, 2.0, 3.0, 4.0])).tolist() == [
         5.0,
@@ -244,7 +245,7 @@ def test_factor_apply_permutation_matches_matrix():
     f = Factor.gather(perfect_shuffle(4))
     x = np.arange(8.0)
     assert f.apply_real(x) == pytest.approx(p.to_real() @ x)
-    exact = f.apply_exact([DyadicRational(int(v)) for v in range(8)])
+    exact = f.apply_exact([Fraction(int(v)) for v in range(8)])
     assert _floats(exact) == pytest.approx(p.to_real() @ x)
 
 
@@ -350,11 +351,18 @@ def test_apply_integer_path_is_bit_exact():
 
 
 def test_apply_dyadic_rational_input():
+    # Fractions over powers of two come back exact, equal to the dense product
+    # in Python ints; any other denominator raises rather than taking the
+    # float path
     ft = scale(SDCT.matrix, "VI").factored
-    x = [DyadicRational(3, 1), DyadicRational(-5, 2)] + [DyadicRational(1)] * 14
+    x = [Fraction(3, 2), Fraction(-5, 4)] + [Fraction(1)] * 14
     out = apply(ft, x)
     assert isinstance(out, DyadicMatrix) and out.shape == (16,)
     assert _floats(out) == pytest.approx(ft.dense() @ _floats(x), abs=0)
+    dense = ft.dyadic()
+    assert list(apply(ft, [Fraction(1, 2)] * 16)) == _dense_exact(dense.numerators(), dense.shift + 1, [1] * 16)
+    with pytest.raises(ValueError, match="power of two"):
+        apply(ft, [Fraction(1, 3)] * 16)
 
 
 def test_apply_float_path():
@@ -421,14 +429,14 @@ def test_batches_come_back_exact_as_lists_or_arrays():
 
 
 def test_object_batch_of_dyadic_rationals_is_exact():
-    # DyadicRationals of mixed shifts, and ints, in a 2-D object array or a
+    # Fractions of mixed shifts, and ints, in a 2-D object array or a
     # nested list, against the dense exact product over their common shift
     scaled = scale_to(RDCT.matrix, 32, ("VII", "JAM"))
     rng = np.random.default_rng(32)
     nums, shifts = rng.integers(-999, 999, size=(32, 3)), rng.integers(0, 7, size=(32, 3))
     values = np.empty((32, 3), dtype=object)
     for i, j in np.ndindex(values.shape):
-        values[i, j] = DyadicRational(int(nums[i, j]), int(shifts[i, j]))
+        values[i, j] = Fraction(int(nums[i, j]), 1 << int(shifts[i, j]))
     values[0, 0], nums[0, 0], shifts[0, 0] = 5, 5, 0  # an int among them
     want = scaled.dyadic @ DyadicMatrix(nums << (shifts.max() - shifts), shifts.max())
     for batch in (values, values.tolist()):
@@ -472,13 +480,13 @@ def test_exact_path_builds_no_dyadic_rational(monkeypatch):
     # builds no per-entry object; reading one builds one per entry
     ft = scale_to(RDCT.matrix, 64, ("VII", "III", "JAM")).factored
     made = []
-    build = DyadicRational.__init__
+    build = matkit._Entry
 
-    def counted(self, *args):
+    def counted(*args):
         made.append(args)
-        build(self, *args)
+        return build(*args)
 
-    monkeypatch.setattr(DyadicRational, "__init__", counted)
+    monkeypatch.setattr(matkit, "_Entry", counted)
     out = apply(ft, list(range(-32, 32)))
     again = apply(ft, out)
     assert made == []
@@ -554,6 +562,9 @@ _ALIAS_CASES = {
     "scaled VII/IV": scale_to(SDCT.matrix, 32, ("VII", "IV")).factored,
     "scaled JAM/III": scale_to(RDCT.matrix, 32, ("JAM", "III")).factored,
     "shift-only gather": FactoredTransform(8, (Factor.gather(np.arange(8), None, shift=1),)),
+    "shift between butterflies": FactoredTransform(
+        16, (Factor.butterfly(16), Factor.gather(np.arange(16), None, shift=2), Factor.butterfly(16))
+    ),
     "identity gather": FactoredTransform(8, (Factor.gather(np.arange(8)),)),
     "butterfly": FactoredTransform(8, (Factor.butterfly(8),)),
     "leaf": FactoredTransform(8, (Factor.leaf(RDCT.matrix),)),
@@ -673,9 +684,9 @@ def _chains(max_levels: int):
     )
 
 
-def _dense_exact(num: np.ndarray, shift: int, x) -> list[DyadicRational]:
+def _dense_exact(num: np.ndarray, shift: int, x) -> list[Fraction]:
     """``num @ x`` over ``2**shift`` in Python integers, ``x`` holding ints."""
-    return [DyadicRational(int(v), shift) for v in num.astype(object) @ np.array(x, dtype=object)]
+    return [Fraction(int(v), 1 << shift) for v in num.astype(object) @ np.array(x, dtype=object)]
 
 
 def _check_against_dense(scaled, data) -> None:
@@ -696,9 +707,9 @@ def _check_against_dense(scaled, data) -> None:
     # dyadic rationals with mixed shifts
     nums = data.draw(st.lists(st.integers(-(2**12), 2**12), min_size=n, max_size=n))
     shifts = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
-    values = [DyadicRational(v, s) for v, s in zip(nums, shifts)]
-    common = max(v.shift for v in values)
-    aligned = [v.numerator << (common - v.shift) for v in values]
+    values = [Fraction(v, 1 << s) for v, s in zip(nums, shifts)]
+    common = max(shifts)
+    aligned = [v << (common - s) for v, s in zip(nums, shifts)]
     assert list(apply(ft, values)) == _dense_exact(num, shift + common, aligned)
     # the float path, one vector and one batch
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -1023,6 +1034,53 @@ def test_plan_ends_at_its_leaf_where_the_output_permutation_folds():
         else:
             assert last.interleaves and ft.size <= 128, (approx, chain)
     assert stays == ["rdct 256", "rdct 1024", "bas2 256", "bas2 1024"]
+
+
+_SHIFTED = {
+    "unpermuted end gather into the leaf": (
+        FactoredTransform(8, (Factor.gather(np.arange(8), [2] * 8, shift=1), Factor.leaf(RDCT.matrix))),
+        ["  dense 8x8 product, row multipliers {2}, shift 1"],
+    ),
+    "shift between butterflies": (
+        FactoredTransform(16, (Factor.butterfly(16), Factor.gather(np.arange(16), None, shift=2), Factor.butterfly(16))),
+        [
+            "  gather 16, shift 0",
+            "  butterfly 16: add and subtract contiguous halves",
+            "  butterfly 16: add and subtract contiguous halves",
+            "  gather 16, shift 2",
+        ],
+    ),
+    "signed rows and a shift between butterflies": (
+        FactoredTransform(
+            16,
+            (
+                Factor.butterfly(16),
+                Factor.gather(np.arange(16)[::-1], [1, -1] * 8, shift=3),
+                Factor.butterfly(16),
+            ),
+        ),
+        None,
+    ),
+}
+
+
+def test_executed_shifts_sum_to_the_plan_shift():
+    # the stages as run carry the plan's whole shift: a gather that goes into
+    # the leaf adds its shift to the leaf's, moved rows or not, and a signed
+    # permutation that shifts runs no stage of its own, its shift going to
+    # the gather that ends the plan; the shifted plans stay exact
+    for approx, chain in _pair_order_cases():
+        plan = _built(approx, chain).factored.plan
+        assert sum(st.shift for st in plan._executed) == plan.shift, (approx, chain)
+    rng = np.random.default_rng(5)
+    for name, (ft, stages) in _SHIFTED.items():
+        assert sum(st.shift for st in ft.plan._executed) == ft.plan.shift, name
+        if stages is not None:
+            assert ft.plan.lines()[1:] == stages, name
+        x = rng.integers(-999, 1000, size=(ft.size, 3))
+        assert apply(ft, x) == ft.dyadic() @ DyadicMatrix(x), name
+        assert apply(ft, x[:, 0]) == ft.dyadic() @ DyadicMatrix(x[:, 0]), name
+        assert np.array_equal(apply(ft, x.astype(float)), ft.dense() @ x), name
 
 
 def test_plans_match_the_factor_product_to_n256():

@@ -7,6 +7,8 @@ matmul.
 """
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,6 @@ from dctscale.exact import (
 )
 from dctscale.matkit import (
     DyadicMatrix,
-    DyadicRational,
     as_real,
     canonical,
     frobenius_distance,
@@ -30,88 +31,108 @@ from dctscale.matkit import (
 )
 
 
-def _frac(d: DyadicRational) -> Fraction:
-    return Fraction(d.numerator, 1 << d.shift)
+def _entry(num: int, shift: int = 0) -> Fraction:
+    """``num / 2**shift`` as read out of a vector, held over that shift by a
+    second, odd entry."""
+    return DyadicMatrix([num, 1], shift)[0]
 
 
-# ── DyadicRational ─────────────────────────────────────────────────────────
+# ── entries read out ───────────────────────────────────────────────────────
 
 
 def test_rational_canonical_form():
-    # 6/4 reduces to 3/2, 8/8 to 1, and zero swallows its shift
-    assert DyadicRational(6, 2) == DyadicRational(3, 1)
-    assert DyadicRational(8, 3) == DyadicRational(1)
-    z = DyadicRational(0, 7)
-    assert z.numerator == 0 and z.shift == 0
-    assert str(DyadicRational(-1, 1)) == "-1/2"
-    assert str(DyadicRational(5)) == "5"
+    # an entry is a Fraction in lowest terms: 6/4 reads as 3/2, 8/8 as 1, and
+    # zero drops its shift; ``shift`` is the base-2 log of the denominator
+    assert _entry(6, 2) == Fraction(3, 2) and _entry(6, 2).shift == 1
+    assert _entry(8, 3) == Fraction(1)
+    z = _entry(0, 7)
+    assert isinstance(z, Fraction) and z.numerator == 0 and z.shift == 0
+    assert str(_entry(-1, 1)) == "-1/2"
+    assert str(_entry(5)) == "5"
 
 
 def test_rational_parse():
-    assert DyadicRational.parse("3") == DyadicRational(3)
-    assert DyadicRational.parse("-1/2") == DyadicRational(-1, 1)
-    assert DyadicRational.parse(" 5/8 ") == DyadicRational(5, 3)
-    with pytest.raises(ValueError):
-        DyadicRational.parse("1/3")
-    with pytest.raises(ValueError):
-        DyadicRational.parse("1/0")
+    # text is an int literal, or int/int with a power-of-two denominator
+    for text, want in (("3", 3), ("+3", 3), (" 5/8 ", Fraction(5, 8)), ("-1/2", Fraction(-1, 2))):
+        assert DyadicMatrix.from_entries([[text]]).entry(0, 0) == want
+    for text in ("1/3", "1/0", "1/-2", "1.5", "", "3/"):
+        with pytest.raises(ValueError):
+            DyadicMatrix.from_entries([[text]])
 
 
 def test_rational_validation():
-    with pytest.raises(ValueError):
-        DyadicRational(1, -1)
-    with pytest.raises(OverflowError):
-        DyadicRational(1 << 62)
+    # the 62-bit cap is the matrix's, checked where it is built
+    for big in (Fraction(1 << 62), Fraction(-(1 << 63), 2), 1 << 62):
+        with pytest.raises(OverflowError):
+            DyadicMatrix.from_entries([[big]])
     # largest representable magnitude is fine
-    DyadicRational((1 << 62) - 1)
+    assert DyadicMatrix.from_entries([[Fraction((1 << 62) - 1)]]).entry(0, 0) == (1 << 62) - 1
 
 
 def test_rational_rejects_non_integral_input():
-    # a fractional numerator or shift raises instead of being truncated;
-    # integral floats and numpy integers are taken as their value
-    for args in ((1.5,), (3, 1.9), (0.5, 0)):
-        with pytest.raises(ValueError, match="integer"):
-            DyadicRational(*args)
-    assert DyadicRational(2.0) == DyadicRational(2)
-    assert DyadicRational(np.int64(6), np.int32(2)) == DyadicRational(3, 1)
+    # a rational over any other denominator raises instead of being rounded,
+    # and a float is no exact value; numpy integers are taken as their value
+    with pytest.raises(ValueError, match="power of two"):
+        DyadicMatrix.from_entries([[Fraction(1, 3)]])
+    with pytest.raises(ValueError, match="power of two"):
+        DyadicMatrix.identity(2).apply([Fraction(1, 3), 0])
+    with pytest.raises(TypeError):
+        DyadicMatrix.from_entries([[0.5]])
+    assert DyadicMatrix.from_entries([[np.int64(6), np.int32(2)]]) == DyadicMatrix([[6, 2]])
 
 
 def test_rational_immutable_and_hashable():
-    d = DyadicRational(3, 1)
+    d = _entry(3, 1)
     with pytest.raises(AttributeError):
         d.numerator = 5
-    assert hash(DyadicRational(3, 1)) == hash(d)
-    assert DyadicRational(2) == 2
-    assert bool(DyadicRational(0)) is False and bool(d) is True
+    assert hash(_entry(3, 1)) == hash(d) == hash(Fraction(3, 2))
+    assert _entry(2) == 2
+    assert bool(_entry(0)) is False and bool(d) is True
+
+
+def test_entries_survive_copy_and_pickle():
+    # a copy, a deep copy and a pickled round trip give the same value, of
+    # the same type, with its shift
+    for e in (_entry(3, 1), _entry(-5), _entry(0, 4), _entry((1 << 61) - 1, 5)):
+        for again in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert again == e and type(again) is type(e) and again.shift == e.shift
+
+
+def test_entries_compute_and_compare_as_fractions():
+    e = DyadicMatrix.from_entries([["-1/2"]]).entry(0, 0)
+    assert e + 1 == Fraction(1, 2) and 4 * e == -2 and -e == Fraction(1, 2)
+    assert e < 0 < -e and sorted([_entry(3), e, _entry(1, 2)]) == [e, Fraction(1, 4), 3]
+    # and equal floats of the same value
+    assert e == -0.5 and hash(e) == hash(-0.5) and e in {-0.5}
 
 
 def test_rational_hash_agrees_with_equal_ints():
     # an integer value equals its int, so it hashes as that int and is found in sets
     for value in (3, -5, 0, 1, -(1 << 61)):
-        d = DyadicRational(value)
+        d = _entry(value)
         assert d == value and hash(d) == hash(value)
         assert d in {value} and value in {d} and {value: "x"}[d] == "x"
-    assert DyadicRational(6, 1) in {3}
-    half = DyadicRational(1, 1)
-    assert hash(half) == hash(DyadicRational(2, 2)) and half not in {0, 1}
+    assert _entry(6, 1) in {3}
+    half = _entry(1, 1)
+    assert hash(half) == hash(_entry(2, 2)) and half not in {0, 1}
 
 
 def test_rational_float_vs_fraction():
     rng = np.random.default_rng(101)
     for _ in range(300):
-        a = DyadicRational(int(rng.integers(-999, 1000)), int(rng.integers(0, 7)))
-        assert float(a) == float(_frac(a))
+        num, shift = int(rng.integers(-999, 1000)), int(rng.integers(0, 7))
+        assert float(_entry(num, shift)) == float(Fraction(num, 1 << shift))
 
 
 # ── DyadicMatrix ───────────────────────────────────────────────────────────
 
 
 def test_matrix_from_entries_mixed():
-    m = DyadicMatrix.from_entries([[1, "-1/2"], [DyadicRational(3, 2), 0]])
-    assert m.entry(0, 0) == DyadicRational(1)
-    assert m.entry(0, 1) == DyadicRational(-1, 1)
-    assert m.entry(1, 0) == DyadicRational(3, 2)
-    assert m.entry(1, 1) == DyadicRational(0)
+    m = DyadicMatrix.from_entries([[1, "-1/2"], [Fraction(3, 4), 0]])
+    assert m.entry(0, 0) == Fraction(1)
+    assert m.entry(0, 1) == Fraction(-1, 2)
+    assert m.entry(1, 0) == Fraction(3, 4)
+    assert m.entry(1, 1) == Fraction(0)
     assert m.shape == (2, 2)
 
 
@@ -119,7 +140,7 @@ def test_matrix_common_shift_normalization():
     # all numerators even -> the constructor divides the shift out
     m = DyadicMatrix([[2, 4], [6, 8]], 1)
     assert m.shift == 0
-    assert m.entry(0, 0) == DyadicRational(1)
+    assert m.entry(0, 0) == Fraction(1)
     z = DyadicMatrix([[0, 0], [0, 0]], 5)
     assert z.shift == 0
 
@@ -216,12 +237,12 @@ def test_matrix_matmul_vs_fraction():
         a = DyadicMatrix(rng.integers(-9, 10, size=(n, n)), int(rng.integers(0, 3)))
         b = DyadicMatrix(rng.integers(-9, 10, size=(n, n)), int(rng.integers(0, 3)))
         got = (a @ b).entries()
-        fa = [[_frac(e) for e in row] for row in a.entries()]
-        fb = [[_frac(e) for e in row] for row in b.entries()]
+        fa = [[Fraction(int(v), 1 << a.shift) for v in row] for row in a.numerators()]
+        fb = [[Fraction(int(v), 1 << b.shift) for v in row] for row in b.numerators()]
         for i in range(n):
             for j in range(n):
                 want = sum(fa[i][k] * fb[k][j] for k in range(n))
-                assert _frac(got[i][j]) == want
+                assert got[i][j] == want
 
 
 def test_matrix_matmul_object_fallback():
@@ -231,7 +252,7 @@ def test_matrix_matmul_object_fallback():
     a = DyadicMatrix([[big, 0], [0, 1]])
     b = DyadicMatrix([[big - 2, 0], [0, 1]])
     prod = a @ b
-    assert prod.entry(0, 0) == DyadicRational(big * (big - 2))
+    assert prod.entry(0, 0) == Fraction(big * (big - 2))
     # genuine overflow raises the constructor's error, within int64 and past it
     with pytest.raises(OverflowError, match="dyadic numerator exceeds 62 bits"):
         c = DyadicMatrix([[1 << 61]])
@@ -260,10 +281,10 @@ def test_from_entries_rejects_ragged_rows():
 def test_matrix_add_sub_neg_transpose():
     a = DyadicMatrix.from_entries([[1, "1/2"], [0, -2]])
     b = DyadicMatrix.from_entries([["1/4", 1], [1, 1]])
-    assert (a + b).entry(0, 0) == DyadicRational(5, 2)
-    assert (a - b).entry(0, 1) == DyadicRational(-1, 1)
-    assert (-a).entry(1, 1) == DyadicRational(2)
-    assert a.T.entry(1, 0) == DyadicRational(1, 1)
+    assert (a + b).entry(0, 0) == Fraction(5, 4)
+    assert (a - b).entry(0, 1) == Fraction(-1, 2)
+    assert (-a).entry(1, 1) == Fraction(2)
+    assert a.T.entry(1, 0) == Fraction(1, 2)
     with pytest.raises(ValueError):
         _ = a + DyadicMatrix.identity(3)
     with pytest.raises(ValueError):
@@ -281,10 +302,10 @@ def test_matrix_round_trip_is_exact():
 
 def test_matrix_apply_exact():
     m = DyadicMatrix.from_entries([[1, "-1/2"], [2, 0]])
-    out = m.apply([4, DyadicRational(1, 1)])
+    out = m.apply([4, Fraction(1, 2)])
     assert isinstance(out, DyadicMatrix) and out.shape == (2,)
-    assert out[0] == DyadicRational(15, 2)  # 4 - 1/4
-    assert out[1] == DyadicRational(8)
+    assert out[0] == Fraction(15, 4)  # 4 - 1/4
+    assert out[1] == Fraction(8)
     # a vector DyadicMatrix goes in as well, and @ gives the same product
     x = DyadicMatrix([8, 1], 1)
     assert m.apply(x) == out == m @ x
@@ -296,7 +317,7 @@ def test_matrix_apply_refuses_possible_overflow():
     m = DyadicMatrix([[1, -1], [0, 3]])
     assert m.row_norm() == 3
     top = ((1 << 62) - 1) // 3
-    assert m.apply([top, -top])[1] == DyadicRational(-3 * top)
+    assert m.apply([top, -top])[1] == Fraction(-3 * top)
     with pytest.raises(OverflowError):
         m.apply([top + 1, 0])
     wide = DyadicMatrix(np.full((1, 8), (1 << 61) + 1, dtype=np.int64))
@@ -310,9 +331,9 @@ def test_canonical_matches_dyadic_rational():
     for shift in (0, 1, 3, 62, 70):
         nums, shifts = canonical(num, shift)
         for v, n, s in zip(num.tolist(), nums.tolist(), shifts.tolist()):
-            want = DyadicRational(v, shift)
-            assert (n, s) == (want.numerator, want.shift)
-        assert list(DyadicMatrix(num, shift)) == [DyadicRational(v, shift) for v in num.tolist()]
+            want = Fraction(v, 1 << shift)
+            assert (n, 1 << s) == (want.numerator, want.denominator)
+        assert list(DyadicMatrix(num, shift)) == [Fraction(v, 1 << shift) for v in num.tolist()]
 
 
 def test_vector_reads_as_canonical_entries():
@@ -321,8 +342,8 @@ def test_vector_reads_as_canonical_entries():
     v = DyadicMatrix([0, 4, -6, 3, 8], 2)
     assert v.shift == 2 and len(v) == 5
     assert [(e.numerator, e.shift) for e in v] == [(0, 0), (1, 0), (-3, 1), (3, 2), (2, 0)]
-    assert list(v) == [DyadicRational(n, 2) for n in (0, 4, -6, 3, 8)]
-    assert v[2] == DyadicRational(-3, 1) and v[-1] == DyadicRational(2)
+    assert list(v) == [Fraction(n, 4) for n in (0, 4, -6, 3, 8)]
+    assert v[2] == Fraction(-3, 2) and v[-1] == Fraction(2)
     assert isinstance(v[1:3], DyadicMatrix) and v[1:3] == DyadicMatrix([2, -3], 1)
     assert [str(e) for e in v[3:]] == ["3/4", "2"]
     with pytest.raises(IndexError):
