@@ -218,15 +218,8 @@ class FactoredTransform:
         return reduce(_add_costs, (f.cost() for f in self.factors), (0, 0))
 
     def dyadic(self) -> DyadicMatrix:
-        """The factors' product from the right; a gather takes signed rows, in O(N²)."""
-        out = self.factors[-1].dyadic()
-        for f in reversed(self.factors[:-1]):
-            g, num = f.payload, out.numerators()
-            if f.kind is FactorKind.GATHER and g.norm * int(np.abs(num).max(initial=0)) < 1 << NUMERATOR_BITS:
-                out = DyadicMatrix(g.multipliers()[:, None] * num[g.index], out.shift + g.shift)
-            else:
-                out = f.dyadic() @ out  # and a gather whose products could pass int64
-        return out
+        """The factors' product from the right (:func:`_times`)."""
+        return _times(self.factors[:-1], self.factors[-1].dyadic())
 
     def dense(self) -> np.ndarray:
         return self.dyadic().to_real()
@@ -250,6 +243,30 @@ class FactoredTransform:
             "shifts": shifts,
             "factors": [f.describe() for f in self.factors],
         }
+
+
+def _times(factors: tuple, out: DyadicMatrix) -> DyadicMatrix:
+    """The product of ``factors`` and ``out``, each factor acting on the rows of
+    the running product in O(N²), where int64 holds its sums: a gather takes
+    signed rows, a butterfly adds and subtracts mirrored rows, and a
+    block-diag applies its block's factors to all its row blocks set side by
+    side.  A leaf, and a gather or butterfly that could pass 62 bits, take the
+    dense product, which reduces before it checks the 62 bits."""
+    for f in reversed(factors):
+        num, g = out.numerators(), f.payload
+        gain = g.norm if f.kind is FactorKind.GATHER else 2
+        if f.kind is FactorKind.BLOCK_DIAG:
+            m, cols = g.size, num.shape[1]
+            side = _times(g.factors, DyadicMatrix(num.reshape(-1, m, cols).swapaxes(0, 1).reshape(m, -1), out.shift))
+            out = DyadicMatrix(side.numerators().reshape(m, -1, cols).swapaxes(0, 1).reshape(f.size, cols), side.shift)
+        elif f.kind is FactorKind.LEAF or gain * int(np.abs(num).max(initial=0)) >= 1 << NUMERATOR_BITS:
+            out = f.dyadic() @ out
+        elif f.kind is FactorKind.GATHER:
+            out = DyadicMatrix(g.multipliers()[:, None] * num[g.index], out.shift + g.shift)
+        else:
+            h = f.size // 2
+            out = DyadicMatrix(np.concatenate([num[:h] + num[: h - 1 : -1], num[h - 1 :: -1] - num[h:]]), out.shift)
+    return out
 
 
 # -- the application engine ------------------------------------------------
@@ -313,17 +330,14 @@ class _Gather:
         mult = None if self.mult is None else np.tile(self.mult, count)
         return _Gather(_tiled(self.index, count * self.index.size), mult, self.shift)
 
-    def run(self, x: np.ndarray, out: np.ndarray | None, cols: int) -> np.ndarray:
+    def run(self, x: np.ndarray, cols: int) -> np.ndarray:
         x = x.reshape(-1, self.index.size, cols)
-        out = None if out is None else out.reshape(x.shape)
         column = self._real if x.dtype.kind == "f" else self._column
-        if not self.unpermuted:
-            # the method skips np.take's dispatch; "clip" skips the bounds
-            # check, done when built, and the copy "raise" makes of ``out``
-            x = out = x.take(self._take, axis=1, out=out, mode="clip")
-        elif column is None:
-            return np.positive(x, out=out)  # nothing to move or scale: still a fresh result
-        return x if column is None else np.multiply(x, column, out=out)
+        if self.unpermuted:  # nothing to move; a fresh result all the same
+            return np.positive(x) if column is None else np.multiply(x, column)
+        # the method skips np.take's dispatch; "clip" skips the bounds check, done when built
+        x = x.take(self._take, axis=1, mode="clip")
+        return x if column is None else np.multiply(x, column, out=x)
 
     def __str__(self) -> str:
         n = self.index.size
@@ -370,18 +384,18 @@ class _Butterfly(_BlockStage):
         below = bf.count == self.count << self.levels and bf.half << self.levels == self.half
         return _Butterfly(self.count, self.half, self.levels + 1) if below and self.levels < _LEVELS else None
 
-    def run(self, x: np.ndarray, out: np.ndarray | None, cols: int) -> np.ndarray:
+    def run(self, x: np.ndarray, cols: int) -> np.ndarray:
         x = x.reshape(-1, self.k, self.rows * cols)
-        h = self.hadamard_real if x.dtype.kind == "f" else self.hadamard
-        return np.matmul(h, x, out=None if out is None else out.reshape(x.shape))
+        return np.matmul(self.hadamard_real if x.dtype.kind == "f" else self.hadamard, x)
 
     def __str__(self) -> str:
         size = 2 * self.half
-        order = "" if self.slices is None else f", slices in order {self.slices.tolist()}"
+        tail = "" if self.slices is None else f", slices in order {self.slices.tolist()}"
+        tail += f", shift {self.shift}" if self.shift else ""
         if self.levels == 1:
-            return f"butterfly {size}{self._on()}: add and subtract contiguous halves{order}"
+            return f"butterfly {size}{self._on()}: add and subtract contiguous halves{tail}"
         last = size >> (self.levels - 1)
-        return f"butterflies {size} to {last}{self._on()}: one ±1 product of {self.k} rows{order}"
+        return f"butterflies {size} to {last}{self._on()}: one ±1 product of {self.k} rows{tail}"
 
 
 class _Dense(_BlockStage):
@@ -411,12 +425,13 @@ class _Dense(_BlockStage):
         st.paired = True
         return st
 
-    def run(self, x: np.ndarray, out: np.ndarray | None, cols: int) -> np.ndarray:
+    def run(self, x: np.ndarray, cols: int) -> np.ndarray:
         x = x.reshape(-1, self.count, self.block, cols)
         num = self.num_real if x.dtype.kind == "f" else self.num
-        written = (len(x), self.block, self.count, cols) if self.interleaves else x.shape
-        out = np.empty(written, x.dtype) if out is None else out.reshape(written)
-        np.matmul(num, x, out=out.swapaxes(1, 2) if self.interleaves else out)
+        if not self.interleaves:
+            return np.matmul(num, x)
+        out = np.empty((len(x), self.block, self.count, cols), x.dtype)
+        np.matmul(num, x, out=out.swapaxes(1, 2))
         return out
 
     def __str__(self) -> str:
@@ -592,8 +607,15 @@ def _end_at_leaf(out: list) -> None:
     into the leaf's rows, where float products stay exact and int64 ones
     within ``growth``.  Its shift and row order go in too, and it goes, where
     it moves no row or each output row ``j * count + s`` takes a row of one
-    block, then stored in place ``s``; else it stays to move rows, with its shift."""
+    block, then stored in place ``s``; else it stays to move rows, with its
+    shift.  A gather of only a shift and the float scale, a power of two,
+    goes into a butterfly run before it the same way."""
     bf, leaf, g = ([None] * 3 + out)[-3:]
+    if isinstance(leaf, _Butterfly) and isinstance(g, _Gather) and g.unpermuted and g.mult is None:
+        st = out[-2] = copy.copy(leaf)
+        st.shift, st.hadamard_real = leaf.shift + g.shift, leaf.hadamard_real * g.scale
+        out.pop()
+        return
     if not (isinstance(leaf, _Dense) and isinstance(g, _Gather) and g.permutes):
         return
     mag = np.abs(g.multipliers())
@@ -660,12 +682,12 @@ class Plan:
     def run(self, x: np.ndarray) -> np.ndarray:
         """The stages, each in its fixed geometry, along axis -2 of ``x`` (only
         read) or down a vector: numerators of int input, values of float."""
-        stages, shape, cols = self._executed, x.shape, x.shape[-1] if x.ndim > 1 else 1
+        stages, shape = self._executed, x.shape
         if not stages or not x.size:
             return x.copy()
-        buffers = (None, None) if cols == 1 else (np.empty(x.size, x.dtype), np.empty(x.size, x.dtype))
-        for i, st in enumerate(stages):
-            x = st.run(x, buffers[i & 1], cols)
+        cols = shape[-1] if len(shape) > 1 else 1
+        for st in stages:
+            x = st.run(x, cols)
         return x.reshape(shape)
 
     def apply_exact(self, x) -> DyadicMatrix:

@@ -20,7 +20,6 @@ import numpy as np
 NUMERATOR_BITS = 62
 _NUM_LIMIT = 1 << NUMERATOR_BITS
 _INT64 = np.dtype(np.int64)
-_UNSIGNED = {n: np.dtype(f"u{n}") for n in (1, 2, 4, 8)}
 
 
 class _Entry(Fraction):
@@ -84,30 +83,25 @@ def aligned_numerators(values, growth: int) -> tuple[np.ndarray, int, int]:
     bool array is taken as it is, over shift 0, and an int64 one is not
     copied.  An object array, of any shape, holds ints, ``numbers.Rational``
     values or text (:func:`_dyadic`) and goes over their largest shift.
-    ``peak`` is the largest magnitude: a vector's comes from one reduction,
-    of ``abs`` read as unsigned, and a batch's from ``max`` and ``min``,
-    which make no temporary the size of the batch; both hold at -2**63 and
-    for uint64 at or above 2**63, which the int64 conversion, made after the
-    check, would wrap.  ``growth`` bounds the worst-case gain of a product:
-    where ``peak`` times ``growth`` reaches 2**62, OverflowError is raised.
+    ``peak`` is the largest magnitude, read as Python ints at ``argmax`` and
+    ``argmin``, array methods that cost less than a ufunc reduction on a
+    small array and make no temporary: it holds at -2**63, and for uint64
+    at or above 2**63, which the int64 conversion, made after the check,
+    would wrap.  ``growth`` bounds the worst-case gain of a product: where
+    ``peak`` times ``growth`` reaches 2**62, OverflowError is raised.
     Other arrays raise TypeError.
     """
     if isinstance(values, DyadicMatrix):
         arr, shift = values._num, values._shift
     else:
         arr, shift = np.asarray(values), 0
-    kind = arr.dtype.kind
-    if kind == "O":
+    if arr.dtype.kind not in "iub":  # one test for int input
+        if arr.dtype.kind != "O":
+            raise TypeError(f"exact application takes ints and rationals, got {arr.dtype}")
         pairs = [_dyadic(v) for v in arr.flat]
         shift = max((s for _, s in pairs), default=0)
         arr = np.array([p << (shift - s) for p, s in pairs], dtype=object).reshape(arr.shape)
-    elif kind not in "iub":
-        raise TypeError(f"exact application takes ints and rationals, got {arr.dtype}")
-    if arr.ndim == 1 and arr.size:  # one reduction, of abs read as unsigned: abs leaves a signed minimum negative
-        mag = np.abs(arr)
-        peak = int(np.maximum.reduce(mag.view(_UNSIGNED[arr.itemsize]) if kind == "i" else mag))
-    else:  # two reductions, and no temporary the size of the batch
-        peak = max(int(arr.max()), -int(arr.min())) if arr.size else 0
+    peak = int(max(arr.item(arr.argmax()), -arr.item(arr.argmin()))) if arr.size else 0
     if peak * growth >= _NUM_LIMIT:
         raise OverflowError(
             f"input magnitude {peak} times worst-case growth {growth} reaches 2**{NUMERATOR_BITS}"

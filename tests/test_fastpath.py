@@ -825,6 +825,10 @@ def _skeleton_product(signed: tuple[bool, ...], x: np.ndarray) -> np.ndarray:
     return np.concatenate([_skeleton_product(signed[1:], y[:h]), _skeleton_product(signed[1:], y[h:])])
 
 
+def _pair_order_cases_mixed(approx: str, levels: int) -> tuple[str, ...]:
+    return tuple(DYADIC_METHOD_IDS[(3 * k + len(approx)) % 8] for k in range(levels))
+
+
 def _pair_order_cases():
     for approx in catalog.APPROXIMATION_IDS:
         for method in DYADIC_METHOD_IDS:
@@ -832,8 +836,12 @@ def _pair_order_cases():
                 yield approx, (method,) * (size.bit_length() - 4)
     for approx in ("rdct", "bas2"):
         for size in (128, 256, 1024):
-            levels = size.bit_length() - 4
-            yield approx, tuple(DYADIC_METHOD_IDS[(3 * k + len(approx)) % 8] for k in range(levels))
+            yield approx, _pair_order_cases_mixed(approx, size.bit_length() - 4)
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_product(approx_id: str, chain: tuple[str, ...]) -> DyadicMatrix:
+    return _built(approx_id, chain).factored.dyadic()
 
 
 def test_pair_order_plans_match_the_dense_product():
@@ -920,6 +928,91 @@ def test_adopted_results_keep_the_constructors_canonical_form():
                     assert got.shift == want.shift, (approx, chain, peak)
                     assert got.numerators().dtype == np.int64
                     assert np.array_equal(got.numerators(), want.numerators()), (approx, chain, peak)
+
+
+_VECTOR_OTHERS = {
+    "identity gather": _ALIAS_CASES["identity gather"],
+    "shift-only gather": _ALIAS_CASES["shift-only gather"],
+    "JAM·VI": compose(scale(RDCT.matrix, "JAM").factored, scale(SDCT.matrix, "VI").factored),
+    "III·VII": compose(scale(RDCT.matrix, "III").factored, scale(SDCT.matrix, "VII").factored),
+}
+_VECTOR_KINDS = ("bool", "int8", "int32", "int64", "uint8", "uint64", "list")
+
+
+@functools.lru_cache(maxsize=None)
+def _vector_case(case: tuple) -> tuple[FactoredTransform, np.ndarray, int]:
+    """The transform, its factor product's numerators as Python ints, and its shift."""
+    ft, product = (
+        (_VECTOR_OTHERS[case[0]], _VECTOR_OTHERS[case[0]].dyadic())
+        if len(case) == 1
+        else (_built(*case).factored, _factor_product(*case))
+    )
+    return ft, product.numerators().astype(object), product.shift
+
+
+def _canonical(values: list[int], shift: int) -> tuple[list[int], int]:
+    """Python ints over ``2**shift`` without the powers of two they all share."""
+    common = functools.reduce(operator.or_, values, 0)
+    if not common:
+        return values, 0
+    drop = min((common & -common).bit_length() - 1, shift)
+    return [v >> drop for v in values], shift - drop
+
+
+def _raised(ft: FactoredTransform, x) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        apply(ft, x)
+    return info.type, str(info.value)
+
+
+@settings(derandomize=True, database=None, max_examples=3, deadline=None)
+@given(data=st.data())
+def test_vector_route_is_its_one_column_batch_and_the_dense_product(data):
+    # every pair-order plan (each member and method at 16/32/64, mixed rdct
+    # and bas2 chains to 1024), a plan with no stages, one of only a shift
+    # and two composed plans: a vector of bool, int8, int32, int64, uint8 or
+    # uint64, or a list, within the growth bound gives the numerators and
+    # shift of its one-column batch and of the dense factor product in Python
+    # ints, in canonical form, and never shares the input's memory; each
+    # error is raised with the same type and message on both
+    cases = [case for case in _pair_order_cases()] + [(name,) for name in _VECTOR_OTHERS]
+    for case in cases:
+        ft, dense, shift = _vector_case(case)
+        n, growth = ft.size, ft.plan.growth
+        bound = ((1 << 62) - 1) // growth
+        kind = data.draw(st.sampled_from(_VECTOR_KINDS))
+        info = np.iinfo(np.int64 if kind in ("bool", "list") else kind)
+        lo, hi = (0, 1) if kind == "bool" else (max(info.min, -bound), min(info.max, bound))
+        # one seed per case keeps the drawn data small; either end of the range
+        # goes in at a drawn place
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = [lo + int(v) for v in rng.integers(0, hi - lo, size=n, endpoint=True, dtype=np.uint64)]
+        where = data.draw(st.integers(0, n - 1))
+        values[where] = data.draw(st.sampled_from((lo, hi)))
+        x = values if kind == "list" else np.array(values, dtype=kind)
+        vec = apply(ft, x)
+        col = apply(ft, [[v] for v in values] if kind == "list" else x[:, None])
+        assert vec.shape == (n,) and col.shape == (n, 1), case
+        assert np.array_equal(vec.numerators(), col.numerators()[:, 0]) and vec.shift == col.shift, case
+        want = _canonical((dense @ np.array(values, dtype=object)).tolist(), shift)
+        assert (vec.numerators().tolist(), vec.shift) == want, (case, kind)
+        if kind != "list":
+            assert not np.shares_memory(vec._num, x), case
+        long = np.zeros(n + 1, np.int64)
+        (tv, mv), (tc, mc) = _raised(ft, long), _raised(ft, long[:, None])
+        assert tv is tc is ValueError, case
+        assert mv.replace(f"got {(n + 1,)}", "") == mc.replace(f"got {(n + 1, 1)}", ""), case
+        for value, dtype in (
+            (bound + 1, np.int64),
+            (-bound - 1, np.int64),
+            (-(2**63), np.int64),
+            (2**63, np.uint64),
+            (1j, np.complex128),
+        ):
+            bad = np.zeros(n, dtype)
+            bad[where] = value
+            given = (bad.tolist(), [[v] for v in bad.tolist()]) if kind == "list" else (bad, bad[:, None])
+            assert _raised(ft, given[0]) == _raised(ft, given[1]), (case, value)
 
 
 def test_one_column_attains_the_growth_bound_exactly():
@@ -1061,14 +1154,26 @@ _SHIFTED = {
         ),
         None,
     ),
+    "shift-only end gather into the butterfly run": (
+        FactoredTransform(
+            16,
+            (
+                Factor.gather(np.arange(16), None, shift=1),
+                Factor.block_diag(FactoredTransform(2, (Factor.butterfly(2),)), 8),
+            ),
+        ),
+        ["  butterfly 2 on 8 blocks: add and subtract contiguous halves, shift 1"],
+    ),
 }
 
 
 def test_executed_shifts_sum_to_the_plan_shift():
     # the stages as run carry the plan's whole shift: a gather that goes into
-    # the leaf adds its shift to the leaf's, moved rows or not, and a signed
+    # the leaf adds its shift to the leaf's, moved rows or not, a signed
     # permutation that shifts runs no stage of its own, its shift going to
-    # the gather that ends the plan; the shifted plans stay exact
+    # the gather that ends the plan, and an end gather of only a shift goes
+    # into the butterfly run before it; the shifted plans stay exact, on int
+    # input and on its float twin
     for approx, chain in _pair_order_cases():
         plan = _built(approx, chain).factored.plan
         assert sum(st.shift for st in plan._executed) == plan.shift, (approx, chain)
@@ -1103,6 +1208,24 @@ def test_plans_match_the_factor_product_to_n256():
         assert apply(ft, x[:, 0]) == product @ DyadicMatrix(x[:, 0])
         sizes.append(n)
     assert sizes == [128, 256, 128, 256]
+
+
+def test_plans_match_the_factor_product_at_n512_and_n1024():
+    # the factor product takes butterflies as mirrored row sums and block-diags
+    # block by block, in O(N²) and without the plan, so rdct VII and a mixed
+    # bas2 chain are checked at N = 512 and 1024 too: the product is the
+    # scaled transform's matrix and the plan gives it on the identity and on
+    # an int vector
+    rng = np.random.default_rng(1024)
+    mixed = _pair_order_cases_mixed("bas2", 7)
+    for approx, chain in (("rdct", ("VII",) * 6), ("rdct", ("VII",) * 7), ("bas2", mixed[:6]), ("bas2", mixed)):
+        scaled = _built(approx, chain)
+        ft, n = scaled.factored, scaled.size
+        product = _factor_product(approx, chain)
+        assert product == scaled.dyadic, (approx, chain)
+        assert apply(ft, DyadicMatrix.identity(n)) == product, (approx, chain)
+        x = rng.integers(-999, 1000, size=n)
+        assert apply(ft, x) == product @ DyadicMatrix(x), (approx, chain)
 
 
 def test_factor_product_takes_gather_rows_exactly():
