@@ -681,7 +681,8 @@ class Plan:
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """The stages, each in its fixed geometry, along axis -2 of ``x`` (only
-        read) or down a vector: numerators of int input, values of float."""
+        read) or down a vector: numerators of int input, values of float.
+        Each stage returns a fresh array, so the result is never ``x``."""
         stages, shape = self._executed, x.shape
         if not stages or not x.size:
             return x.copy()

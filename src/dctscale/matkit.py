@@ -95,7 +95,7 @@ def aligned_numerators(values, growth: int) -> tuple[np.ndarray, int, int]:
         arr, shift = values._num, values._shift
     else:
         arr, shift = np.asarray(values), 0
-    if arr.dtype.kind not in "iub":  # one test for int input
+    if arr.dtype.kind not in "iub":
         if arr.dtype.kind != "O":
             raise TypeError(f"exact application takes ints and rationals, got {arr.dtype}")
         pairs = [_dyadic(v) for v in arr.flat]
