@@ -825,7 +825,7 @@ def _skeleton_product(signed: tuple[bool, ...], x: np.ndarray) -> np.ndarray:
     return np.concatenate([_skeleton_product(signed[1:], y[:h]), _skeleton_product(signed[1:], y[h:])])
 
 
-def _pair_order_cases_mixed(approx: str, levels: int) -> tuple[str, ...]:
+def _mixed_chain(approx: str, levels: int) -> tuple[str, ...]:
     return tuple(DYADIC_METHOD_IDS[(3 * k + len(approx)) % 8] for k in range(levels))
 
 
@@ -836,7 +836,7 @@ def _pair_order_cases():
                 yield approx, (method,) * (size.bit_length() - 4)
     for approx in ("rdct", "bas2"):
         for size in (128, 256, 1024):
-            yield approx, _pair_order_cases_mixed(approx, size.bit_length() - 4)
+            yield approx, _mixed_chain(approx, size.bit_length() - 4)
 
 
 @functools.lru_cache(maxsize=None)
@@ -942,11 +942,11 @@ _VECTOR_KINDS = ("bool", "int8", "int32", "int64", "uint8", "uint64", "list")
 @functools.lru_cache(maxsize=None)
 def _vector_case(case: tuple) -> tuple[FactoredTransform, np.ndarray, int]:
     """The transform, its factor product's numerators as Python ints, and its shift."""
-    ft, product = (
-        (_VECTOR_OTHERS[case[0]], _VECTOR_OTHERS[case[0]].dyadic())
-        if len(case) == 1
-        else (_built(*case).factored, _factor_product(*case))
-    )
+    if len(case) == 1:
+        ft = _VECTOR_OTHERS[case[0]]
+        product = ft.dyadic()
+    else:
+        ft, product = _built(*case).factored, _factor_product(*case)
     return ft, product.numerators().astype(object), product.shift
 
 
@@ -976,7 +976,7 @@ def test_vector_route_is_its_one_column_batch_and_the_dense_product(data):
     # ints, in canonical form, and neither shares the input's memory; each
     # error is raised with the same type and message on both.  A pair-order
     # plan takes one drawn kind of input, the four others every kind
-    cases = [case for case in _pair_order_cases()] + [(name,) for name in _VECTOR_OTHERS]
+    cases = list(_pair_order_cases()) + [(name,) for name in _VECTOR_OTHERS]
     for case in cases:
         ft, dense, shift = _vector_case(case)
         n, growth = ft.size, ft.plan.growth
@@ -1218,7 +1218,7 @@ def test_plans_match_the_factor_product_at_n512_and_n1024():
     # scaled transform's matrix and the plan gives it on the identity and on
     # an int vector
     rng = np.random.default_rng(1024)
-    mixed = _pair_order_cases_mixed("bas2", 7)
+    mixed = _mixed_chain("bas2", 7)
     for approx, chain in (("rdct", ("VII",) * 6), ("rdct", ("VII",) * 7), ("bas2", mixed[:6]), ("bas2", mixed)):
         scaled = _built(approx, chain)
         ft, n = scaled.factored, scaled.size
