@@ -98,12 +98,23 @@ def parse_matrix_text(text: str) -> DyadicMatrix:
 
 
 def _read_bytes(filename: str) -> bytes:
-    with open(f"{_DATA_DIR}/{filename}", "rb") as f:
-        return f.read()
+    """A data file's bytes, read to EOF by unbuffered ``os.read`` calls."""
+    fd = os.open(f"{_DATA_DIR}/{filename}", os.O_RDONLY)
+    try:
+        return b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+    finally:
+        os.close(fd)
 
 
 def _manifest() -> dict[str, str]:
-    rows = (line.split() for line in _read_bytes("MANIFEST.sha256").decode().splitlines())
+    """The checksum manifest as read now, as a fresh {file name: sha256} dict."""
+    return _parse_manifest(_read_bytes("MANIFEST.sha256")).copy()
+
+
+@lru_cache(maxsize=2)
+def _parse_manifest(blob: bytes) -> dict[str, str]:
+    """The manifest parsed, kept for the last two texts read; callers copy it."""
+    rows = (line.split() for line in blob.decode().splitlines())
     return {name: digest for digest, name in filter(None, rows)}
 
 

@@ -54,6 +54,7 @@ from .matkit import (
     DyadicMatrix,
     _as_int_array,
     _integer,
+    _peak,
     aligned_numerators,
 )
 
@@ -250,22 +251,23 @@ def _times(factors: tuple, out: DyadicMatrix) -> DyadicMatrix:
     the running product in O(N²), where int64 holds its sums: a gather takes
     signed rows, a butterfly adds and subtracts mirrored rows, and a
     block-diag applies its block's factors to all its row blocks set side by
-    side.  A leaf, and a gather or butterfly that could pass 62 bits, take the
-    dense product, which reduces before it checks the 62 bits."""
+    side.  Results are adopted, as a gain check bounds them below 2**62 and
+    rows set side by side stay canonical; a leaf, and a gather or butterfly
+    that could pass 62 bits, take the dense product, which checks them."""
     for f in reversed(factors):
-        num, g = out.numerators(), f.payload
+        num, g = out._num, f.payload
         gain = g.norm if f.kind is FactorKind.GATHER else 2
         if f.kind is FactorKind.BLOCK_DIAG:
             m, cols = g.size, num.shape[1]
-            side = _times(g.factors, DyadicMatrix(num.reshape(-1, m, cols).swapaxes(0, 1).reshape(m, -1), out.shift))
-            out = DyadicMatrix(side.numerators().reshape(m, -1, cols).swapaxes(0, 1).reshape(f.size, cols), side.shift)
-        elif f.kind is FactorKind.LEAF or gain * int(np.abs(num).max(initial=0)) >= 1 << NUMERATOR_BITS:
+            side = _times(g.factors, DyadicMatrix._owning(num.reshape(-1, m, cols).swapaxes(0, 1).reshape(m, -1), out.shift))
+            out = DyadicMatrix._owning(side._num.reshape(m, -1, cols).swapaxes(0, 1).reshape(f.size, cols), side.shift)
+        elif f.kind is FactorKind.LEAF or gain * _peak(num) >= 1 << NUMERATOR_BITS:
             out = f.dyadic() @ out
         elif f.kind is FactorKind.GATHER:
-            out = DyadicMatrix(g.multipliers()[:, None] * num[g.index], out.shift + g.shift)
+            out = DyadicMatrix._owning(g.multipliers()[:, None] * num[g.index], out.shift + g.shift)
         else:
             h = f.size // 2
-            out = DyadicMatrix(np.concatenate([num[:h] + num[: h - 1 : -1], num[h - 1 :: -1] - num[h:]]), out.shift)
+            out = DyadicMatrix._owning(np.concatenate([num[:h] + num[: h - 1 : -1], num[h - 1 :: -1] - num[h:]]), out.shift)
     return out
 
 
@@ -306,18 +308,6 @@ class _Gather:
         """No adds; one shift per nonzero multiplier of magnitude other than 2**shift."""
         mag = np.abs(self.multipliers())
         return (0, int(np.count_nonzero((mag != 0) & (mag != 1 << self.shift))))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, _Gather):
-            return NotImplemented
-        return (
-            self.shift == other.shift
-            and np.array_equal(self.index, other.index)
-            and np.array_equal(self.multipliers(), other.multipliers())
-        )
-
-    def __hash__(self):
-        return hash((self.index.tobytes(), self.multipliers().tobytes(), self.shift))
 
     def then(self, other: "_Gather") -> "_Gather":
         """One gather doing ``self`` first, then ``other``."""

@@ -48,10 +48,16 @@ def dyadic_str(numerator: int, shift: int) -> str:
     return f"{numerator}/{1 << shift}"
 
 
+def _peak(arr: np.ndarray) -> int:
+    """The largest magnitude in ``arr``, 0 when empty, read as Python ints at
+    ``argmax`` and ``argmin``, which cost less than a ufunc reduction and make
+    no temporary; it holds at -2**63, where np.abs wraps, and past int64."""
+    return int(max(arr.item(arr.argmax()), -arr.item(arr.argmin()))) if arr.size else 0
+
+
 def _check_bits(num: np.ndarray) -> None:
-    """OverflowError where an int64 numerator needs more than 62 bits; both
-    ends are read, as np.abs(-2**63) wraps to -2**63."""
-    if num.size and (num.max() >= _NUM_LIMIT or num.min() <= -_NUM_LIMIT):
+    """OverflowError where a numerator needs more than 62 bits."""
+    if _peak(num) >= _NUM_LIMIT:
         raise OverflowError(f"dyadic numerator exceeds {NUMERATOR_BITS} bits")
 
 
@@ -83,13 +89,11 @@ def aligned_numerators(values, growth: int) -> tuple[np.ndarray, int, int]:
     bool array is taken as it is, over shift 0, and an int64 one is not
     copied.  An object array, of any shape, holds ints, ``numbers.Rational``
     values or text (:func:`_dyadic`) and goes over their largest shift.
-    ``peak`` is the largest magnitude, read as Python ints at ``argmax`` and
-    ``argmin``, array methods that cost less than a ufunc reduction on a
-    small array and make no temporary: it holds at -2**63, and for uint64
-    at or above 2**63, which the int64 conversion, made after the check,
-    would wrap.  ``growth`` bounds the worst-case gain of a product: where
-    ``peak`` times ``growth`` reaches 2**62, OverflowError is raised.
-    Other arrays raise TypeError.
+    ``peak`` is the largest magnitude (:func:`_peak`), read before the int64
+    conversion, which would wrap uint64 values at or above 2**63.
+    ``growth`` bounds the worst-case gain of a product: where ``peak`` times
+    ``growth`` reaches 2**62, OverflowError is raised.  Other arrays raise
+    TypeError.
     """
     if isinstance(values, DyadicMatrix):
         arr, shift = values._num, values._shift
@@ -101,7 +105,7 @@ def aligned_numerators(values, growth: int) -> tuple[np.ndarray, int, int]:
         pairs = [_dyadic(v) for v in arr.flat]
         shift = max((s for _, s in pairs), default=0)
         arr = np.array([p << (shift - s) for p, s in pairs], dtype=object).reshape(arr.shape)
-    peak = int(max(arr.item(arr.argmax()), -arr.item(arr.argmin()))) if arr.size else 0
+    peak = _peak(arr)
     if peak * growth >= _NUM_LIMIT:
         raise OverflowError(
             f"input magnitude {peak} times worst-case growth {growth} reaches 2**{NUMERATOR_BITS}"

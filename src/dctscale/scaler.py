@@ -20,19 +20,21 @@ identity with leading entry 1/2.
 
 Every doubling is built from its two halves in O(N^2): with the butterfly
 multiplied out, they are ``[T, T Ibar]`` and ``[B-hat T G-hat Ibar,
--B-hat T G-hat]``, Ibar a column reversal, and the perfect shuffle gathers
-the rows.  A dyadic B-hat is a signed row gather and G-hat a column sign,
-applied to one int64 numerator array over a common shift or to a float
-seed; 'exact' takes B_N T G_N as one N x N float product.  ``_doubling``
-reads the index, multiplier and sign arrays from the gather triples of J,
-Ibar and Z in ``exact``, with no sign, reversal or halving arithmetic of its
-own; they are the gather factors of ``P · bd(I, B-hat) · bd(T, T) ·
-bd(I, G-hat) · Bf``, whose bd(T, T) is two copies of the level below, so
-no gather is expanded into an N x N matrix.  All factors but bd(T, T)
-depend on the method and N only: ``_doubling`` builds those four and their
-arrays once per (method, N) in a bounded cache, and every seed's doubling
-shares them, so they are read-only.  ``scale_to`` carries each level's
-dyadic matrix into the next and orthogonalizes the final level only;
+-B-hat T G-hat]``, Ibar a column reversal, and the perfect shuffle P
+interleaves their rows, written in place through an (N, 2, 2N) view.  A
+dyadic B-hat is a signed row gather and G-hat a column sign, applied to one
+int64 numerator array over a common shift or to a float seed; 'exact' takes
+B_N T G_N as one N x N float product.  ``_doubling`` reads the index,
+multiplier and sign arrays from the gather triples of J, Ibar and Z in
+``exact``, with no sign, reversal or halving arithmetic of its own; they are
+the gather factors of ``P · bd(I, B-hat) · bd(T, T) · bd(I, G-hat) · Bf``,
+whose bd(T, T) is two copies of the level below, so no gather is expanded
+into an N x N matrix.  All factors but bd(T, T) depend on the method and N
+only: ``_doubling`` builds those four and their arrays once per (method, N)
+in a bounded cache, and every seed's doubling shares them, so they are
+read-only.  ``scale`` and ``scale_to`` share one level builder,
+``_scaled``: it carries each level's raw numerators and shift into the next,
+adopts the chain's last level once as a DyadicMatrix and orthogonalizes it;
 ``scale`` of a factored seed takes the seed's matrix from its compiled plan.
 """
 from __future__ import annotations
@@ -56,8 +58,10 @@ from .exact import (
 )
 from .fastpath import Factor, FactoredTransform
 from .matkit import (
+    NUMERATOR_BITS,
     DyadicMatrix,
     _integer,
+    aligned_numerators,
     as_real,
     is_diagonal,
     is_generalized_permutation,
@@ -77,9 +81,9 @@ def normalize_method(method: str) -> str:
     )
 
 
-# the method-only part of a dyadic doubling at half-size N: P's gather index,
-# B-hat's and G-hat's arrays, and P, bd(I, B-hat), bd(I, G-hat) and Bf as factors
-_Doubling = namedtuple("_Doubling", "shuffle index mult shift signs factors")
+# the method-only part of a dyadic doubling at half-size N: P's gather index, B-hat's and
+# G-hat's arrays, the gain 2**shift or |mult|, at most 2, and P, bd(I, B-hat), bd(I, G-hat), Bf
+_Doubling = namedtuple("_Doubling", "shuffle index mult shift signs gain factors")
 
 
 @lru_cache(maxsize=128)  # above 8 methods x 10 half-sizes 1...512, so a sweep never evicts
@@ -115,7 +119,7 @@ def _doubling(mid: str, half: int) -> _Doubling:
     )
     sign = Factor.gather(np.arange(2 * half), np.concatenate([ones, signs]))
     factors = (Factor.gather(shuffle), mixing, sign, Factor.butterfly(2 * half))
-    return _Doubling(shuffle, index, mult, shift, signs, factors)
+    return _Doubling(shuffle, index, mult, shift, signs, mixing.payload.norm, factors)
 
 
 def method_blocks(method: str, half: int):
@@ -167,65 +171,47 @@ class OrthogonalityCheck:
     orthogonal: bool
 
 
-class _Level(NamedTuple):
-    """A raw (not yet orthogonalized) transform at one size."""
+class _Seed(NamedTuple):
+    """A seed transform: factored and dyadic, or a float matrix."""
 
-    factored: FactoredTransform | None  # None off the dyadic path
-    dyadic: DyadicMatrix | None  # None off the dyadic path
-    dense: np.ndarray | None  # None on the dyadic path
+    factored: FactoredTransform | None  # None for a float seed
+    dyadic: DyadicMatrix | None  # None for a float seed
+    dense: np.ndarray | None  # None for a dyadic seed
 
     @property
     def size(self) -> int:
         return self.dense.shape[0] if self.dyadic is None else self.dyadic.rows
 
-    def real(self) -> np.ndarray:
-        return self.dense if self.dyadic is None else self.dyadic.to_real()
 
-
-def _coerce_seed(t, base_cost) -> _Level:
+def _coerce_seed(t, base_cost) -> _Seed:
     if isinstance(t, FactoredTransform):
         # the plan's exact image of the identity, in place of the literal
         # O(N^3) product of the factors
-        return _Level(t, t.apply_exact(np.eye(t.size, dtype=np.int64)), None)
+        return _Seed(t, t.apply_exact(np.eye(t.size, dtype=np.int64)), None)
     if isinstance(t, DyadicMatrix):
         if t.rows != t.cols:
             raise ValueError("seed transform must be square")
         if t.rows < 1:
             raise ValueError("seed transform must be at least 1x1")
-        return _Level(FactoredTransform(t.rows, (Factor.leaf(t, base_cost),)), t, None)
+        return _Seed(FactoredTransform(t.rows, (Factor.leaf(t, base_cost),)), t, None)
     arr = np.asarray(t, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("seed transform must be a square matrix")
     if arr.shape[0] < 1:
         raise ValueError("seed transform must be at least 1x1")
-    return _Level(None, None, arr)
+    return _Seed(None, None, arr)
 
 
-def _stack_halves(top: np.ndarray, low: np.ndarray, shuffle: np.ndarray) -> np.ndarray:
-    """P [[top, top Ibar], [low Ibar, -low]] with low = B-hat T G-hat, P as a row
-    gather; the four blocks, of one dtype, are written into one array."""
+def _stack_halves(top: np.ndarray, low: np.ndarray, shuffle=None) -> np.ndarray:
+    """P [[top, top Ibar], [low Ibar, -low]] with low = B-hat T G-hat, in one
+    fresh array of their dtype.  P interleaves the halves' rows, so the four
+    blocks are written through an (n, 2, 2n) view: row 2i is top's row i and
+    row 2i + 1 is low's.  ``shuffle``, P's gather index, is not read."""
     n = top.shape[0]
-    halves = np.empty((2 * n, 2 * n), dtype=top.dtype)
-    halves[:n, :n], halves[:n, n:], halves[n:, :n] = top, top[:, ::-1], low[:, ::-1]
-    np.negative(low, out=halves[n:, n:])
-    return halves.take(shuffle, axis=0)
-
-
-def _double_dyadic(block: FactoredTransform, t: DyadicMatrix, mid: str):
-    """One dyadic doubling: (index-built DyadicMatrix, its FactoredTransform).
-
-    Only the stacked numerators (checked by the public constructor) and
-    bd(T, T) are built here.  The shuffle, mixing and sign gathers and the
-    butterfly come from ``_doubling``, cached on (method, half-size) and
-    shared by every seed's doubling there, hence read-only.
-    """
-    n = t.rows
-    lv = _doubling(mid, n)
-    num = t.numerators()
-    low = lv.mult[:, None] * (num * lv.signs)[lv.index]
-    dyadic = DyadicMatrix(_stack_halves(num << lv.shift, low, lv.shuffle), t.shift + lv.shift)
-    shuffle, mixing, sign, bf = lv.factors
-    return dyadic, FactoredTransform(2 * n, (shuffle, mixing, Factor.block_diag(block, 2), sign, bf))
+    halves = np.empty((n, 2, 2 * n), dtype=top.dtype)
+    halves[:, 0, :n], halves[:, 0, n:], halves[:, 1, :n] = top, top[:, ::-1], low[:, ::-1]
+    np.negative(low, out=halves[:, 1, n:])
+    return halves.reshape(2 * n, 2 * n)
 
 
 def _double_real(t: np.ndarray, mid: str) -> np.ndarray:
@@ -233,31 +219,44 @@ def _double_real(t: np.ndarray, mid: str) -> np.ndarray:
     gather of t for the dyadic methods and one N x N product for 'exact'."""
     n = t.shape[0]
     if mid == "exact":
-        low = counter_mixing(n) @ t * np.diag(signed_cosine_diagonal(n))
-        return _stack_halves(t, low, perfect_shuffle(n))
+        return _stack_halves(t, counter_mixing(n) @ t * np.diag(signed_cosine_diagonal(n)))
     lv = _doubling(mid, n)
-    return _stack_halves(t, lv.mult[:, None] * (t * lv.signs)[lv.index] * 0.5**lv.shift, lv.shuffle)
+    return _stack_halves(t, lv.mult[:, None] * (t * lv.signs)[lv.index] * 0.5**lv.shift)
 
 
-def _double(seed: _Level, mid: str) -> _Level:
-    """One raw doubling; dyadic while the seed and the method are."""
-    if seed.dyadic is not None and mid != "exact":
-        dyadic, factored = _double_dyadic(seed.factored, seed.dyadic, mid)
-        return _Level(factored, dyadic, None)
-    return _Level(None, None, _double_real(seed.real(), mid))
+def _scaled(seed: _Seed, chain: tuple[str, ...]) -> ScaledTransform:
+    """The doublings of ``seed`` along ``chain``, orthogonalized at the end.
 
-
-def _finish(mid: str, level: _Level) -> ScaledTransform:
-    dense = level.real()
+    While the seed and the methods are dyadic, each level's raw int64
+    numerators and shift seed the next, and the last level is reduced and
+    adopted once (``_owning``).  ``bound``, the seed's peak times each level's
+    gain, caps the raw numerators; where it reaches 2**62 the constructor
+    reduces and checks that level, so a chain raises OverflowError where a
+    DyadicMatrix per level would.  A float seed, or the first 'exact' level,
+    turns the chain to float64 for good.
+    """
+    factored, dense = seed.factored, seed.dense
+    if seed.dyadic is not None:
+        num, shift, bound = aligned_numerators(seed.dyadic, 1)
+    for mid in chain:
+        if factored is None or mid == "exact":
+            if factored is not None:
+                dense, factored = num / float(1 << shift), None
+            dense = _double_real(dense, mid)
+            continue
+        n = num.shape[0]
+        lv = _doubling(mid, n)
+        low = lv.mult[:, None] * (num * lv.signs)[lv.index]
+        num, shift = _stack_halves(num << lv.shift if lv.shift else num, low), shift + lv.shift
+        shuffle, mixing, sign, bf = lv.factors
+        factored = FactoredTransform(2 * n, (shuffle, mixing, Factor.block_diag(factored, 2), sign, bf))
+        bound *= lv.gain
+        if bound >= 1 << NUMERATOR_BITS:
+            num, shift, bound = aligned_numerators(DyadicMatrix(num, shift), 1)
+    dyadic = None if factored is None else DyadicMatrix._owning(num, shift)
+    dense = dense if dyadic is None else dyadic.to_real()
     sigma, c_hat = orthogonalize(dense)
-    return ScaledTransform(
-        method=mid,
-        dense=dense,
-        sigma=sigma,
-        c_hat=c_hat,
-        dyadic=level.dyadic,
-        factored=level.factored,
-    )
+    return ScaledTransform(chain[-1], dense, sigma, c_hat, dyadic, factored)
 
 
 def scale(t, method: str, *, base_cost: tuple[int, int] | None = None) -> ScaledTransform:
@@ -268,8 +267,7 @@ def scale(t, method: str, *, base_cost: tuple[int, int] | None = None) -> Scaled
     naive dense count.  Ignored when ``t`` is already a FactoredTransform,
     and for a float seed, which has no factored form.
     """
-    mid = normalize_method(method)
-    return _finish(mid, _double(_coerce_seed(t, base_cost), mid))
+    return _scaled(_coerce_seed(t, base_cost), (normalize_method(method),))
 
 
 def scale_to(
@@ -284,15 +282,15 @@ def scale_to(
     ``method`` is a single method id (same method at every level) or a
     sequence of ids, one per doubling.  Row-norm orthogonalization applies
     once, to the final size only; intermediate transforms stay raw (and
-    dyadic, for dyadic seeds and methods), and each level's dyadic matrix
-    seeds the next without being rebuilt from its factors.
+    dyadic, for dyadic seeds and methods), and each level's numerators
+    seed the next without being rebuilt from its factors.
 
     Chained 'exact' loses about two float64 digits per level past 128 points
     (B_N is a dense ±1 triangle): from C_8, the max-abs error vs C_N is
     4e-14, 1e-12, 5e-11, 5e-9 and 1e-6 at N = 64, 128, 256, 512 and 1024.
     """
-    level = _coerce_seed(t, base_cost)
-    n = level.size
+    seed = _coerce_seed(t, base_cost)
+    n = seed.size
     if target < 2 * n:
         raise ValueError(f"target size {target} must be at least twice the seed size {n}")
     levels = (int(target) // n).bit_length() - 1
@@ -307,10 +305,7 @@ def scale_to(
             raise ValueError(
                 f"{levels} doublings needed to reach {target}, got {len(chain)} methods"
             )
-
-    for mid in chain:
-        level = _double(level, mid)
-    return _finish(chain[-1], level)
+    return _scaled(seed, chain)
 
 
 def check_orthogonality(t, method: str) -> OrthogonalityCheck:

@@ -162,6 +162,18 @@ def test_crlf_manifest_still_parses(data_copy):
         assert load(approx_id).id == approx_id
 
 
+def test_manifest_is_parsed_once_per_text_and_handed_out_fresh(data_copy):
+    # a caller may change its dict: the next call still reads the file
+    first = catalog._manifest()
+    first["bas1.txt"] = "0" * 64
+    assert catalog._manifest()["bas1.txt"] != first["bas1.txt"]
+    assert load("bas1").id == "bas1"
+    # a file past one read chunk comes back whole
+    blob = bytes(range(256)) * 1000 + b"tail"
+    (data_copy / "big.bin").write_bytes(blob)
+    assert catalog._read_bytes("big.bin") == blob
+
+
 def test_changed_text_is_parsed_afresh(monkeypatch):
     # the shared entry is keyed on the verified text, not on the id alone
     first = load("bas1")

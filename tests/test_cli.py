@@ -272,6 +272,19 @@ def test_apply_integer_path_method_vii(capsys, vec16):
     assert out == "136 -48 0 -16 0 -16 0 -16 0 -16 0 -16 0 -16 0 -4\n"
 
 
+def test_apply_integer_path_prints_fractions(capsys, tmp_path):
+    # the first and last unit vectors meet VII's halved entry: the last
+    # outputs are 1/2 and -1/2, exact values printed as p/2^s
+    path = tmp_path / "units.txt"
+    path.write_text("1" + " 0" * 15 + "\n" + "0 " * 15 + "1\n")
+    code, out, _ = _run(
+        capsys,
+        ["apply", "--approx", "rdct", "--method", "VII", "--size", "16", "--input", str(path), "--int"],
+    )
+    assert code == 0
+    assert out == "1 0 1 0 1 1 1 1 1 1 1 1 0 1 0 1/2\n1 0 1 0 1 -1 1 -1 1 -1 1 -1 0 -1 0 -1/2\n"
+
+
 def test_apply_float_path_matches_dense(capsys, tmp_path):
     path = tmp_path / "floats.txt"
     x = np.linspace(-1.0, 1.0, 16)

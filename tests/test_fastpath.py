@@ -23,7 +23,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dctscale import catalog, matkit
+from dctscale import catalog, matkit, scaler
 from dctscale.exact import (
     StructuralKind,
     butterfly,
@@ -274,19 +274,31 @@ def test_identical_blocks_are_costed_once(monkeypatch):
 
 
 def test_scale_to_builds_one_matrix_per_level(monkeypatch):
-    # the gather stages are O(N) arrays: scaling and costing build one
-    # dense matrix per level, the doubled transform itself
+    # the gather stages are O(N) arrays: scaling and costing stack one
+    # N x N numerator array per level, and the last one, the doubled
+    # transform itself, is adopted once; the copying constructor never runs
     seed = catalog.load("abdct").matrix
-    built = []
-    real_init = DyadicMatrix.__init__
+    stacked, adopted, built = [], [], []
+    real_stack, real_owning = scaler._stack_halves, DyadicMatrix._owning.__func__
 
-    def recording(self, numerators, shift=0):
-        real_init(self, numerators, shift)
-        built.append(self.rows)
+    def stacking(top, low, shuffle=None):
+        out = real_stack(top, low)
+        stacked.append(out.shape)
+        return out
 
-    monkeypatch.setattr(DyadicMatrix, "__init__", recording)
+    def owning(cls, num, shift):
+        adopted.append(num.shape)
+        return real_owning(cls, num, shift)
+
+    def constructing(self, numerators, shift=0):
+        built.append(np.shape(numerators))
+
+    monkeypatch.setattr(scaler, "_stack_halves", stacking)
+    monkeypatch.setattr(DyadicMatrix, "_owning", classmethod(owning))
+    monkeypatch.setattr(DyadicMatrix, "__init__", constructing)
     scale_to(seed, 256, ("III", "VI", "JAM", "VII", "II"), base_cost=(24, 6)).factored.cost()
-    assert built == [16, 32, 64, 128, 256]
+    assert stacked == [(n, n) for n in (16, 32, 64, 128, 256)]
+    assert adopted == [(256, 256)] and built == []
 
 
 def test_declared_base_overrides_naive_cost():

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dctscale import matkit
 from dctscale.exact import (
     StructuralKind,
     TransformKind,
@@ -158,6 +159,26 @@ def test_matrix_constructor_validation():
         with pytest.raises(OverflowError):
             DyadicMatrix(data)
     assert DyadicMatrix([-(1 << 63)], 2).numerators()[0] == -(1 << 61)
+
+
+def test_bit_check_reads_both_ends():
+    # the peak is read at argmax and argmin: 2**62 at either sign and the
+    # int64 minimum raise, one less passes, in any position and shape, and
+    # the object arrays of the wide product are read the same way
+    limit = 1 << 62
+    for bad in (limit, -limit, -(1 << 63)):
+        for arr in (np.array([bad]), np.array([[0, 3], [bad, -5]]), np.array([-1, bad, 1])):
+            with pytest.raises(OverflowError, match="^dyadic numerator exceeds 62 bits$"):
+                matkit._check_bits(arr)
+            with pytest.raises(OverflowError, match="^dyadic numerator exceeds 62 bits$"):
+                canonical(arr, 3)
+    for good in (limit - 1, -(limit - 1)):
+        matkit._check_bits(np.array([[good, -good], [0, 1]]))
+    matkit._check_bits(np.zeros((0, 4), dtype=np.int64))
+    for big in (1 << 64, -(1 << 63), limit, -limit):
+        with pytest.raises(OverflowError):
+            matkit._check_bits(np.array([7, big, -7], dtype=object))
+    matkit._check_bits(np.array([limit - 1, 1 - limit], dtype=object))
 
 
 def test_matrix_rejects_non_integral_input():

@@ -446,6 +446,92 @@ def test_float_doubling_matches_five_factor_product(method):
             assert np.array_equal(got, want), n
 
 
+# ── one level builder: raw numerators per level, one adoption ─────────────
+
+
+def _per_level(t: DyadicMatrix, chain) -> DyadicMatrix:
+    """Each level's halves stacked by vstack/hstack and gathered by P, then
+    taken by the copying constructor, which reduces and checks every level."""
+    for mid in chain:
+        lv = _doubling(mid, t.rows)
+        num = t.numerators()
+        top, low = num << lv.shift, lv.mult[:, None] * (num * lv.signs)[lv.index]
+        halves = np.vstack([np.hstack([top, top[:, ::-1]]), np.hstack([low[:, ::-1], -low])])
+        t = DyadicMatrix(halves[lv.shuffle], t.shift + lv.shift)
+    return t
+
+
+def test_level_builder_matches_per_level_matrices_to_1024():
+    # every member x method, each at one of N = 16...1024 so that every
+    # member and every method meets every size, plus a mixed chain per member
+    rng = np.random.default_rng(27)
+    for i, approx_id in enumerate(catalog.APPROXIMATION_IDS):
+        seed = catalog.load(approx_id).matrix
+        chains = [(mid,) * (1 + (i + j) % 7) for j, mid in enumerate(DYADIC_METHOD_IDS)]
+        chains.append(tuple(rng.choice(DYADIC_METHOD_IDS, size=7).tolist()))
+        for chain in chains:
+            below = _per_level(seed, chain[:-1])
+            want = _per_level(below, chain[-1:])
+            for got in (scale_to(seed, want.rows, chain), scale(below, chain[-1])):
+                assert _same_representation(got.dyadic, want), (approx_id, chain)
+                assert np.array_equal(got.dense, want.to_real())
+
+
+def test_chain_turns_to_float_at_its_first_exact_level():
+    # the raw numerators of the dyadic levels give the first 'exact' level
+    # the float seed that the reduced matrix gives; float from there on
+    seed = catalog.load("abdct").matrix
+    for chain in (("exact", "VI"), ("III", "exact"), ("VII", "III", "exact", "II", "VII")):
+        k = chain.index("exact")
+        dense = _per_level(seed, chain[:k]).to_real()
+        for mid in chain[k:]:
+            dense = scale(dense, mid).dense
+        st = scale_to(seed, 8 << len(chain), chain)
+        assert st.dyadic is None and st.factored is None
+        assert np.array_equal(st.dense, dense), chain
+
+
+def _seed_near_the_cap(low_bit: int) -> DyadicMatrix:
+    """8 x 8 at shift 0: small entries with lowest bit ``low_bit``, and a peak
+    of 2**61 (two entries) or, for odd entries, -(2**61 + 1)."""
+    num = np.random.default_rng(61).integers(-(1 << 20), 1 << 20, (8, 8)) * 2 + low_bit
+    if low_bit:
+        num[2, 4] = -((1 << 61) + 1)
+    else:
+        num[0, 0], num[3, 5] = 1 << 61, -(1 << 61)
+    return DyadicMatrix(num)
+
+
+def test_even_seed_at_2_61_is_reduced_at_each_doubling_level():
+    # a III or VII level doubles every top entry: 2**62, one past the cap,
+    # until the level's common factor 2 comes out; a matrix per level took
+    # the same path and accepted every chain
+    seed = _seed_near_the_cap(0)
+    for chain in (("III",), ("VII", "III"), ("III", "VII", "III"), ("VII", "JAM", "III", "II")):
+        got = scale_to(seed, 8 << len(chain), chain).dyadic
+        assert _same_representation(got, _per_level(seed, chain)), chain
+        assert int(np.abs(got.numerators()).max()) == 1 << 61
+
+
+def test_chain_past_62_bits_raises_where_a_matrix_per_level_raises():
+    # odd entries at shift 0 with a peak of 2**61 + 1: the methods of gain 1
+    # keep it, and the first III or VII level doubles it past the cap with
+    # odd entries left, so no common factor can come out
+    seed = _seed_near_the_cap(1)
+    singles = [(mid,) for mid in DYADIC_METHOD_IDS]
+    for chain in singles + [a + b for a in singles for b in singles]:
+        builds = [lambda: _per_level(seed, chain), lambda: scale_to(seed, 8 << len(chain), chain).dyadic]
+        if len(chain) == 1:
+            builds.append(lambda: scale(seed, chain[0]).dyadic)
+        if {"III", "VII"} & set(chain):
+            for build in builds:
+                with pytest.raises(OverflowError, match="^dyadic numerator exceeds 62 bits$"):
+                    build()
+        else:
+            want, *got = (build() for build in builds)
+            assert all(_same_representation(g, want) for g in got), chain
+
+
 # max-abs error of scale_to(C8, n, "exact").c_hat against C_n in float64;
 # B_N is a dense ±1 triangle, so the error grows about N/5-fold per level
 _EXACT_CHAIN_ERROR = {64: 3.9e-14, 128: 1.1e-12, 256: 5.1e-11, 512: 5.2e-9, 1024: 1.0e-6}
