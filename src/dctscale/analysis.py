@@ -17,15 +17,7 @@ import numpy as np
 from . import catalog, golden
 from .exact import TransformKind, transform_matrix
 from .matkit import frobenius_distance
-from .metrics import (
-    MetricReport,
-    SignalModel,
-    _efficiency,
-    _gain_and_covariance,
-    deviation_from_orthogonality,
-    mse,
-    total_error_energy,
-)
+from .metrics import MetricReport, SignalModel, _figures
 from .scaler import DYADIC_METHOD_IDS, normalize_method, scale, scale_to
 
 TABLE_IDS = golden.TABLE_IDS
@@ -126,20 +118,8 @@ def evaluate(approx_id: str, method: str, size: int = 16, rho: float = 0.95) -> 
         base_cost=(entry.baseline_adds, entry.baseline_shifts),
     )
     exact = transform_matrix(TransformKind.DCT2, size)
-    model = SignalModel(size=size, rho=rho)
-    adds, shifts = scaled.factored.cost()
-    frob = frobenius_distance(scaled.c_hat, exact)
-    cg, ry = _gain_and_covariance(scaled.c_hat, model)  # one R_Y for cg and eta
-    return MetricReport(
-        d=deviation_from_orthogonality(scaled.c_hat),
-        epsilon=total_error_energy(scaled.c_hat, exact),
-        mse=mse(scaled.c_hat, exact, model),
-        cg=cg,
-        eta=_efficiency(ry),
-        frob=frob,
-        adds=adds,
-        shifts=shifts,
-    )
+    figures = _figures(scaled.c_hat, exact, SignalModel(size=size, rho=rho))
+    return MetricReport(*figures, *scaled.factored.cost())
 
 
 @dataclass(frozen=True)

@@ -201,11 +201,17 @@ def orthogonalize(t) -> tuple[np.ndarray, np.ndarray]:
     invariant under positive scaling of ``t``.
     """
     mat = as_real(t)
+    inv_norm = _row_scale(mat)
+    # scaling the rows equals the diagonal product sigma @ mat entry for entry
+    return np.diag(inv_norm), mat * inv_norm[:, None]
+
+
+def _row_scale(mat: np.ndarray) -> np.ndarray:
+    """sigma's diagonal, ``1/sqrt([mat mat^T]_kk)``, for a square float64 ``mat``;
+    ``orthogonalize`` multiplies row k of ``mat`` by entry k."""
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("orthogonalize expects a square matrix")
     gram_diag = (mat * mat).sum(axis=1)
     if (gram_diag <= 0.0).any():
         raise ValueError("singular Gram matrix (zero row)")
-    inv_norm = 1.0 / np.sqrt(gram_diag)
-    # scaling the rows equals the diagonal product sigma @ mat entry for entry
-    return np.diag(inv_norm), mat * inv_norm[:, None]
+    return 1.0 / np.sqrt(gram_diag)

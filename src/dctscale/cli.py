@@ -168,12 +168,13 @@ def _cmd_apply(args) -> tuple[str, int]:
         for col_nums, col_shifts in zip(nums.T.tolist(), shifts.T.tolist()):
             lines.append(" ".join(map(dyadic_str, col_nums, col_shifts)))
     else:
+        dense = scaled.dense
         for lineno, tokens in vectors:
             vec = np.array(_numbers(lineno, tokens, float, "inputs must be numbers"))
             if not np.all(np.isfinite(vec)):
                 raise _CliError(f"line {lineno}: inputs must be finite numbers")
             with np.errstate(over="ignore", invalid="ignore"):
-                result = scaled.dense @ vec
+                result = dense @ vec
             if not np.all(np.isfinite(result)):
                 raise _CliError(f"line {lineno}: the transformed vector overflows float64")
             lines.append(" ".join(f"{v:.10g}" for v in result))

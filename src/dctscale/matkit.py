@@ -192,6 +192,15 @@ class DyadicMatrix:
         self._num, self._shift = num, _reduce_common(num, shift)
         return self
 
+    @classmethod
+    def _from_ints(cls, num: np.ndarray, shift: int) -> "DyadicMatrix":
+        """``num / 2**shift`` for ``num``, an object array of Python ints of any
+        size: reduced and checked as the constructor does, before the int64
+        conversion, so a result past 62 bits raises OverflowError."""
+        shift = _reduce_common(num, shift)
+        _check_bits(num)
+        return cls(num.astype(np.int64), shift)
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -273,7 +282,9 @@ class DyadicMatrix:
 
     def to_real(self) -> np.ndarray:
         """float64 image, exact at each entry whose numerator is below 2**53."""
-        return self._num.astype(np.float64) / float(1 << self._shift)
+        out = self._num.astype(np.float64)
+        out /= float(1 << self._shift)
+        return out
 
     # -- arithmetic ----------------------------------------------------
 
@@ -288,11 +299,7 @@ class DyadicMatrix:
         shift = self._shift + other._shift
         if bound < _NUM_LIMIT:
             return DyadicMatrix(self._num @ other._num, shift)  # exact in int64
-        # Python ints: reduced and checked as the constructor does, before the int64 conversion
-        prod = self._num.astype(object) @ other._num.astype(object)
-        shift = _reduce_common(prod, shift)
-        _check_bits(prod)
-        return DyadicMatrix(prod.astype(np.int64), shift)
+        return DyadicMatrix._from_ints(self._num.astype(object) @ other._num.astype(object), shift)
 
     def _aligned(self, other: "DyadicMatrix"):
         shift = max(self._shift, other._shift)
@@ -307,12 +314,6 @@ class DyadicMatrix:
             raise ValueError("dimension mismatch in matrix sum")
         a, b, shift = self._aligned(other)
         return DyadicMatrix(a + b, shift)
-
-    def __sub__(self, other) -> "DyadicMatrix":
-        return self + -other if isinstance(other, DyadicMatrix) else NotImplemented
-
-    def __neg__(self) -> "DyadicMatrix":
-        return DyadicMatrix(-self._num, self._shift)
 
     def transpose(self) -> "DyadicMatrix":
         return DyadicMatrix(self._num.T, self._shift)
@@ -371,7 +372,12 @@ def frobenius_distance(a, b) -> float:
     b = as_real(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(((a - b) ** 2).sum()))
+    return _frobenius(a - b)
+
+
+def _frobenius(diff: np.ndarray) -> float:
+    """sqrt of the summed squares of ``diff``, a float array that it squares in place."""
+    return float(np.sqrt(np.square(diff, out=diff).sum()))
 
 
 def is_diagonal(m, tol: float = 0.0) -> bool:

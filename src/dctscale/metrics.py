@@ -4,6 +4,9 @@ Five standard metrics, all evaluated on the orthogonalized approximation
 against the exact transform of the same size: deviation from
 orthogonality, total error energy, mean squared error under an AR(1)
 signal model, unified transform coding gain, and transform efficiency.
+Each public function validates its input and calls one private kernel;
+``_figures`` runs the same kernels for all five and the Frobenius error over
+one validated input, so each figure has one definition.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import CACHE_SIZE
-from .matkit import as_real
+from .matkit import _frobenius, as_real
 
 
 @dataclass(frozen=True)
@@ -88,29 +91,19 @@ def deviation_from_orthogonality(c_hat) -> float:
     m = _square(c_hat)
     if not m.any():
         raise ValueError("deviation from orthogonality of the zero matrix")
-    gram = m @ m.T
-    total = float((gram * gram).sum())
-    diag = float((gram.diagonal() ** 2).sum())
-    return 1.0 - diag / total
+    return _deviation(m)
 
 
 def total_error_energy(c_hat, c) -> float:
     """Total error energy: pi times the Frobenius distance to the exact matrix."""
     a, b = _pair(c_hat, c)
-    return float(np.pi * np.linalg.norm(b - a, "fro"))
+    return _error_energy(b - a)
 
 
 def mse(c_hat, c, model: SignalModel) -> float:
     """Mean squared error (1/N) tr((c - c_hat) R_x (c - c_hat)^T)."""
     a, b = _pair(c_hat, c)
-    rx = _model_for(a, model)
-    delta = b - a
-    return float((delta @ rx @ delta.T).trace() / a.shape[0])
-
-
-def _output_covariance(m: np.ndarray, rx: np.ndarray) -> np.ndarray:
-    """R_Y = m R_x m^T, the covariance of the transformed signal."""
-    return m @ rx @ m.T
+    return _mse(b - a, _model_for(a, model))
 
 
 def coding_gain(c_hat, model: SignalModel) -> float:
@@ -121,24 +114,8 @@ def coding_gain(c_hat, model: SignalModel) -> float:
     of c_hat^(-1).  For orthonormal rows B_k = 1 and the product reduces
     to the variance form.
     """
-    return _gain_and_covariance(c_hat, model)[0]
-
-
-def _gain_and_covariance(c_hat, model: SignalModel) -> tuple[float, np.ndarray]:
-    """The coding gain and the R_Y it reads, which ``evaluate`` shares with the
-    efficiency.  The inverse comes before R_Y: formed after it, at N = 256,
-    the inverse's buffers cost about 470 page faults a call."""
     m = _square(c_hat)
-    rx = _model_for(m, model)
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("coding gain needs an invertible transform") from exc
-    ry = _output_covariance(m, rx)
-    a = ry.diagonal()
-    b = (inv * inv).sum(axis=1)
-    n = m.shape[0]
-    return float(-10.0 / n * np.log10(a * b).sum()), ry
+    return _gain_and_covariance(m, _model_for(m, model))[0]
 
 
 def transform_efficiency(c_hat, model: SignalModel) -> float:
@@ -150,5 +127,57 @@ def transform_efficiency(c_hat, model: SignalModel) -> float:
     return _efficiency(_output_covariance(m, _model_for(m, model)))
 
 
+def _figures(c_hat, c, model: SignalModel) -> tuple[float, ...]:
+    """(d, epsilon, mse, cg, eta, frob) of ``c_hat`` against the exact ``c``, in
+    one pass: the inputs are validated once, c - c_hat is formed once for
+    epsilon, the MSE and the Frobenius error, and R_Y once for cg and eta.
+    Each figure equals its public function's bit for bit."""
+    a, b = _pair(c_hat, c)
+    rx = _model_for(a, model)
+    delta = b - a
+    cg, ry = _gain_and_covariance(a, rx)
+    # the Frobenius error squares delta in place, so it comes last
+    return _deviation(a), _error_energy(delta), _mse(delta, rx), cg, _efficiency(ry), _frobenius(delta)
+
+
+# -- the kernels, on validated float64 arrays -------------------------------
+
+
+def _deviation(m: np.ndarray) -> float:
+    gram = m @ m.T
+    gram *= gram  # its diagonal is now the squared diagonal
+    return 1.0 - float(gram.diagonal().sum()) / float(gram.sum())
+
+
+def _error_energy(delta: np.ndarray) -> float:
+    return float(np.pi * np.linalg.norm(delta, "fro"))
+
+
+def _mse(delta: np.ndarray, rx: np.ndarray) -> float:
+    return float((delta @ rx @ delta.T).trace() / delta.shape[0])
+
+
+def _output_covariance(m: np.ndarray, rx: np.ndarray) -> np.ndarray:
+    """R_Y = m R_x m^T, the covariance of the transformed signal."""
+    return m @ rx @ m.T
+
+
+def _gain_and_covariance(m: np.ndarray, rx: np.ndarray) -> tuple[float, np.ndarray]:
+    """The coding gain and the R_Y it reads, which ``_figures`` shares with the
+    efficiency.  The inverse comes before R_Y: formed after it, at N = 256,
+    the inverse's buffers cost about 470 page faults a call."""
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("coding gain needs an invertible transform") from exc
+    ry = _output_covariance(m, rx)
+    a = ry.diagonal()
+    inv *= inv
+    b = inv.sum(axis=1)
+    return float(-10.0 / m.shape[0] * np.log10(a * b).sum()), ry
+
+
 def _efficiency(ry: np.ndarray) -> float:
-    return float(100.0 * np.abs(ry.diagonal()).sum() / np.abs(ry).sum())
+    """eta of ``ry``, an R_Y that it takes the absolute value of in place."""
+    diag = np.abs(ry.diagonal()).sum()
+    return float(100.0 * diag / np.abs(ry, out=ry).sum())

@@ -32,10 +32,17 @@ whose bd(T, T) is two copies of the level below, so no gather is expanded
 into an N x N matrix.  All factors but bd(T, T) depend on the method and N
 only: ``_doubling`` builds those four and their arrays once per (method, N)
 in a bounded cache, and every seed's doubling shares them, so they are
-read-only.  ``scale`` and ``scale_to`` share one level builder,
-``_scaled``: it carries each level's raw numerators and shift into the next,
-adopts the chain's last level once as a DyadicMatrix and orthogonalizes it;
-``scale`` of a factored seed takes the seed's matrix from its compiled plan.
+read-only.
+
+Since B-hat and G-hat are signed permutations with power-of-two entries,
+every entry of a dyadic chain's last level is +-2**k times one entry of the
+seed, and which entry and which factor depend on the chain and the seed size
+only.  ``_chain_maps`` runs the level recursion once on that index and factor,
+in a bounded cache, and ``scale`` and ``scale_to`` share one builder,
+``_scaled``, which makes the chain's levels up to its first 'exact' one in one
+gather of the seed's numerators, adopted once as a DyadicMatrix, and scales
+its float image's rows in place; ``scale`` of a factored seed takes the
+seed's matrix from its compiled plan.
 """
 from __future__ import annotations
 
@@ -46,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import orthogonalize
+from .catalog import _row_scale
 from .exact import (
     counter_identity,
     counter_mixing,
@@ -82,8 +89,8 @@ def normalize_method(method: str) -> str:
 
 
 # the method-only part of a dyadic doubling at half-size N: P's gather index, B-hat's and
-# G-hat's arrays, the gain 2**shift or |mult|, at most 2, and P, bd(I, B-hat), bd(I, G-hat), Bf
-_Doubling = namedtuple("_Doubling", "shuffle index mult shift signs gain factors")
+# G-hat's arrays, and P, bd(I, B-hat), bd(I, G-hat), Bf
+_Doubling = namedtuple("_Doubling", "shuffle index mult shift signs factors")
 
 
 @lru_cache(maxsize=128)  # above 8 methods x 10 half-sizes 1...512, so a sweep never evicts
@@ -119,7 +126,58 @@ def _doubling(mid: str, half: int) -> _Doubling:
     )
     sign = Factor.gather(np.arange(2 * half), np.concatenate([ones, signs]))
     factors = (Factor.gather(shuffle), mixing, sign, Factor.butterfly(2 * half))
-    return _Doubling(shuffle, index, mult, shift, signs, mixing.payload.norm, factors)
+    return _Doubling(shuffle, index, mult, shift, signs, factors)
+
+
+# a dyadic chain's levels as one gather from its seed: the last level's raw
+# numerators are ``coef * seed_numerators.ravel()[idx]`` over the seed's shift
+# plus ``shift``, and ``gain`` is the largest |coef|
+_ChainMap = namedtuple("_ChainMap", "idx coef shift gain")
+
+
+@lru_cache(maxsize=64)  # above the 36 chains of the benchmark's design sweep, so it never thrashes
+def _chain_maps(chain: tuple[str, ...], n0: int) -> _ChainMap:
+    """The gather of the dyadic ``chain`` from any ``n0``-point seed, built once
+    per (chain, seed size) by running the level recursion on the index of each
+    seed entry and its power-of-two factor, so it is shared and read-only.
+
+    Both are built in the narrowest dtype that holds them.  A level doubles a
+    factor at most, and only where its shift is 1, so ``|coef|`` is at most
+    2**shift: int8 up to six such levels and int16 up to fourteen.  A seed of
+    up to 16 points has a uint8 index, so its N-point map takes at most
+    3 N**2 bytes: 3 MB at N = 1024, and 192 MB for a full cache of them.
+    """
+    levels = [_doubling(mid, n0 << k) for k, mid in enumerate(chain)]
+    shift = sum(lv.shift for lv in levels)
+    # signed and 1-based while stacked, so the abs undoes the negated lower-right block
+    idx = np.arange(1, n0 * n0 + 1, dtype=np.min_scalar_type(-n0 * n0)).reshape(n0, n0)
+    coef = np.ones((n0, n0), dtype=np.min_scalar_type(-(1 << shift) - 1))
+    for lv in levels:
+        low = (coef * lv.signs.astype(coef.dtype))[lv.index]
+        low *= lv.mult.astype(coef.dtype)[:, None]
+        coef = _stack_halves(coef << lv.shift, low)
+        idx = np.abs(_stack_halves(idx, idx[lv.index]))
+    idx -= 1
+    idx = idx.astype(np.min_scalar_type(n0 * n0 - 1))
+    for a in (idx, coef):
+        a.setflags(write=False)
+    return _ChainMap(idx, coef, shift, int(np.abs(coef).max()))
+
+
+def _gathered(seed: DyadicMatrix, maps: _ChainMap) -> DyadicMatrix:
+    """The last level of a dyadic chain from its seed, in one gather adopted
+    once.  Where the seed's peak times the chain's gain reaches 2**62 the same
+    product is formed in Python ints, then reduced and checked: each level keeps
+    the one below in its top half, so its reduced peak never falls along a
+    chain, and this raises OverflowError exactly where a checked matrix per
+    level would."""
+    num, shift, peak = aligned_numerators(seed, 1)
+    flat, shift = num.ravel(), shift + maps.shift
+    if peak * maps.gain >= 1 << NUMERATOR_BITS:
+        return DyadicMatrix._from_ints(flat.astype(object)[maps.idx] * maps.coef.astype(object), shift)
+    out = flat.take(maps.idx)  # faster than flat[idx] for an index narrower than intp
+    out *= maps.coef
+    return DyadicMatrix._owning(out, shift)
 
 
 def method_blocks(method: str, half: int):
@@ -142,23 +200,34 @@ def method_blocks(method: str, half: int):
 class ScaledTransform:
     """Result of one or more doublings.
 
-    ``dense`` is the raw low-complexity matrix T_2N (before any row
-    rescaling); ``c_hat = sigma @ dense`` is the orthogonalized transform
-    that the quality metrics evaluate.  ``dyadic`` and ``factored`` are
-    populated when the seed and every method in the chain are dyadic;
-    the 'exact' method and float seeds fall back to dense-only results.
+    ``c_hat`` is the orthogonalized transform that the quality metrics
+    evaluate: row k of the raw low-complexity matrix T_2N (``dense``, before
+    any row rescaling) times ``row_scale[k]``, so ``c_hat = sigma @ dense``.
+    ``dyadic`` and ``factored`` are populated when the seed and every method
+    in the chain are dyadic, and ``dense`` is then read from ``dyadic``; the
+    'exact' method and float seeds keep their float64 T_2N in ``raw``.
     """
 
     method: str
-    dense: np.ndarray
-    sigma: np.ndarray
     c_hat: np.ndarray
+    row_scale: np.ndarray
     dyadic: DyadicMatrix | None = None
     factored: FactoredTransform | None = None
+    raw: np.ndarray | None = None
+
+    @property
+    def dense(self) -> np.ndarray:
+        """T_2N as float64, a fresh array on each read where it is dyadic."""
+        return self.raw if self.dyadic is None else self.dyadic.to_real()
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """The diagonal row scaling, ``diag(row_scale)``, as a fresh N x N array."""
+        return np.diag(self.row_scale)
 
     @property
     def size(self) -> int:
-        return self.dense.shape[0]
+        return self.c_hat.shape[0]
 
 
 @dataclass(frozen=True)
@@ -202,11 +271,11 @@ def _coerce_seed(t, base_cost) -> _Seed:
     return _Seed(None, None, arr)
 
 
-def _stack_halves(top: np.ndarray, low: np.ndarray, shuffle=None) -> np.ndarray:
+def _stack_halves(top: np.ndarray, low: np.ndarray) -> np.ndarray:
     """P [[top, top Ibar], [low Ibar, -low]] with low = B-hat T G-hat, in one
     fresh array of their dtype.  P interleaves the halves' rows, so the four
     blocks are written through an (n, 2, 2n) view: row 2i is top's row i and
-    row 2i + 1 is low's.  ``shuffle``, P's gather index, is not read."""
+    row 2i + 1 is low's."""
     n = top.shape[0]
     halves = np.empty((n, 2, 2 * n), dtype=top.dtype)
     halves[:, 0, :n], halves[:, 0, n:], halves[:, 1, :n] = top, top[:, ::-1], low[:, ::-1]
@@ -227,36 +296,29 @@ def _double_real(t: np.ndarray, mid: str) -> np.ndarray:
 def _scaled(seed: _Seed, chain: tuple[str, ...]) -> ScaledTransform:
     """The doublings of ``seed`` along ``chain``, orthogonalized at the end.
 
-    While the seed and the methods are dyadic, each level's raw int64
-    numerators and shift seed the next, and the last level is reduced and
-    adopted once (``_owning``).  ``bound``, the seed's peak times each level's
-    gain, caps the raw numerators; where it reaches 2**62 the constructor
-    reduces and checks that level, so a chain raises OverflowError where a
-    DyadicMatrix per level would.  A float seed, or the first 'exact' level,
-    turns the chain to float64 for good.
+    The dyadic levels before the first 'exact' one are one gather from the
+    seed (``_chain_maps``, ``_gathered``); the factored form is still built
+    level by level.  A float seed, or the first 'exact' level, turns the chain
+    to float64 for good.  ``c_hat`` is the float image of the result, its rows
+    scaled in place.
     """
-    factored, dense = seed.factored, seed.dense
-    if seed.dyadic is not None:
-        num, shift, bound = aligned_numerators(seed.dyadic, 1)
-    for mid in chain:
-        if factored is None or mid == "exact":
-            if factored is not None:
-                dense, factored = num / float(1 << shift), None
+    factored, dyadic, dense = seed
+    dyadic_levels = 0 if dyadic is None else (chain + ("exact",)).index("exact")
+    if dyadic_levels:
+        dyadic = _gathered(dyadic, _chain_maps(chain[:dyadic_levels], dyadic.rows))
+        for mid in chain[:dyadic_levels]:
+            n = factored.size
+            shuffle, mixing, sign, bf = _doubling(mid, n).factors
+            factored = FactoredTransform(2 * n, (shuffle, mixing, Factor.block_diag(factored, 2), sign, bf))
+    if dyadic_levels < len(chain):
+        if dyadic is not None:
+            dense, dyadic, factored = dyadic.to_real(), None, None
+        for mid in chain[dyadic_levels:]:
             dense = _double_real(dense, mid)
-            continue
-        n = num.shape[0]
-        lv = _doubling(mid, n)
-        low = lv.mult[:, None] * (num * lv.signs)[lv.index]
-        num, shift = _stack_halves(num << lv.shift if lv.shift else num, low), shift + lv.shift
-        shuffle, mixing, sign, bf = lv.factors
-        factored = FactoredTransform(2 * n, (shuffle, mixing, Factor.block_diag(factored, 2), sign, bf))
-        bound *= lv.gain
-        if bound >= 1 << NUMERATOR_BITS:
-            num, shift, bound = aligned_numerators(DyadicMatrix(num, shift), 1)
-    dyadic = None if factored is None else DyadicMatrix._owning(num, shift)
-    dense = dense if dyadic is None else dyadic.to_real()
-    sigma, c_hat = orthogonalize(dense)
-    return ScaledTransform(chain[-1], dense, sigma, c_hat, dyadic, factored)
+    c_hat = dense.copy() if dyadic is None else dyadic.to_real()
+    row_scale = _row_scale(c_hat)
+    c_hat *= row_scale[:, None]
+    return ScaledTransform(chain[-1], c_hat, row_scale, dyadic, factored, dense)
 
 
 def scale(t, method: str, *, base_cost: tuple[int, int] | None = None) -> ScaledTransform:

@@ -95,7 +95,7 @@ def test_stack_halves_keeps_dtype_and_c_order(dtype):
         top = rng.integers(-9, 10, (n, n)).astype(dtype)
         low = rng.integers(-9, 10, (n, n)).astype(dtype)
         shuffle = perfect_shuffle(n)
-        out = scaler._stack_halves(top, low, shuffle)
+        out = scaler._stack_halves(top, low)
         assert out.dtype == dtype and out.flags.c_contiguous and out.flags.writeable
         assert np.array_equal(out, _stacked(top, low, shuffle))
     # a float seed's doubling takes the same stack

@@ -63,8 +63,9 @@ def test_count_dense_dyadic():
     assert count_dense_dyadic(DyadicMatrix.identity(8)) == (0, 0)
     assert count_dense_dyadic(structural_matrix(StructuralKind.J, 8)) == (0, 0)
     # one 1/2-magnitude entry -> a single shift, no adds
-    mix = -(
-        structural_matrix(StructuralKind.IBAR, 8)
+    mix = (
+        DyadicMatrix(-np.eye(8, dtype=np.int64))
+        @ structural_matrix(StructuralKind.IBAR, 8)
         @ structural_matrix(StructuralKind.Z, 8)
         @ structural_matrix(StructuralKind.J, 8)
     )
@@ -195,8 +196,9 @@ def test_factor_dyadic_views():
     rows = np.arange(8)
     mult = -2 * (-1) ** rows[::-1]
     mult[-1] //= 2
-    mix = -(
-        structural_matrix(StructuralKind.IBAR, 8)
+    mix = (
+        DyadicMatrix(-np.eye(8, dtype=np.int64))
+        @ structural_matrix(StructuralKind.IBAR, 8)
         @ structural_matrix(StructuralKind.Z, 8)
         @ structural_matrix(StructuralKind.J, 8)
     )
@@ -273,15 +275,16 @@ def test_identical_blocks_are_costed_once(monkeypatch):
     assert sorted(costed) == [8 << k for k in range(8)]
 
 
-def test_scale_to_builds_one_matrix_per_level(monkeypatch):
-    # the gather stages are O(N) arrays: scaling and costing stack one
-    # N x N numerator array per level, and the last one, the doubled
-    # transform itself, is adopted once; the copying constructor never runs
-    seed = catalog.load("abdct").matrix
+def test_scale_to_gathers_each_chain_from_maps_built_once(monkeypatch):
+    # a chain's gather maps are stacked level by level once per (chain, seed
+    # size); every scale_to along that chain, from any member, then stacks
+    # nothing, and adopts its one gathered N x N numerator array without the
+    # copying constructor
+    chain = ("III", "VI", "JAM", "VII", "II")
     stacked, adopted, built = [], [], []
     real_stack, real_owning = scaler._stack_halves, DyadicMatrix._owning.__func__
 
-    def stacking(top, low, shuffle=None):
+    def stacking(top, low):
         out = real_stack(top, low)
         stacked.append(out.shape)
         return out
@@ -293,12 +296,21 @@ def test_scale_to_builds_one_matrix_per_level(monkeypatch):
     def constructing(self, numerators, shift=0):
         built.append(np.shape(numerators))
 
+    seeds = [catalog.load(approx).matrix for approx in ("abdct", "rdct")]
     monkeypatch.setattr(scaler, "_stack_halves", stacking)
     monkeypatch.setattr(DyadicMatrix, "_owning", classmethod(owning))
     monkeypatch.setattr(DyadicMatrix, "__init__", constructing)
-    scale_to(seed, 256, ("III", "VI", "JAM", "VII", "II"), base_cost=(24, 6)).factored.cost()
-    assert stacked == [(n, n) for n in (16, 32, 64, 128, 256)]
-    assert adopted == [(256, 256)] and built == []
+    scaler._chain_maps.cache_clear()
+    for k, seed in enumerate(seeds):
+        stacked.clear()
+        adopted.clear()
+        scale_to(seed, 256, chain, base_cost=(24, 6)).factored.cost()
+        # the factors and the index: two stacks per level, for the first seed only
+        levels = [(n, n) for n in (16, 32, 64, 128, 256) for _ in ("coef", "idx")]
+        assert stacked == (levels if k == 0 else [])
+        assert adopted == [(256, 256)] and built == []
+    info = scaler._chain_maps.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_declared_base_overrides_naive_cost():

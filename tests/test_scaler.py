@@ -19,7 +19,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctscale import catalog
+from dctscale import catalog, scaler
 from dctscale.exact import (
     StructuralKind,
     TransformKind,
@@ -353,11 +353,12 @@ def _reference_blocks(method: str, n: int) -> tuple[DyadicMatrix, DyadicMatrix]:
     ibar = structural_matrix(StructuralKind.IBAR, n)
     j = structural_matrix(StructuralKind.J, n)
     z = structural_matrix(StructuralKind.Z, n)
+    minus = DyadicMatrix(-np.eye(n, dtype=np.int64))
     b_hat = {
         "JAM": ident, "IV": ident,
         "I": ibar, "V": ibar,
-        "II": -(ibar @ j), "VI": -(ibar @ j),
-        "III": -(ibar @ z @ j), "VII": -(ibar @ z @ j),
+        "II": minus @ ibar @ j, "VI": minus @ ibar @ j,
+        "III": minus @ ibar @ z @ j, "VII": minus @ ibar @ z @ j,
     }[method]
     return b_hat, (j if method in ("IV", "V", "VI", "VII") else ident)
 
@@ -475,6 +476,38 @@ def test_level_builder_matches_per_level_matrices_to_1024():
             for got in (scale_to(seed, want.rows, chain), scale(below, chain[-1])):
                 assert _same_representation(got.dyadic, want), (approx_id, chain)
                 assert np.array_equal(got.dense, want.to_real())
+
+
+def test_chain_maps_match_per_level_matrices_for_every_seed_size():
+    # one gather per chain: every one- and two-level chain and seeded longer
+    # ones, from dyadic seeds of 1, 2, 8 and 16 points and from a factored
+    # 16-point seed, against a matrix per level; the maps, shared per
+    # (chain, seed size), are read-only and in the narrowest dtypes
+    rng = np.random.default_rng(28)
+    singles = [(mid,) for mid in DYADIC_METHOD_IDS]
+    pairs = [a + b for a in singles for b in singles]
+
+    def random_seed(n):
+        num = rng.choice([-1, 1], (n, n)) * rng.integers(1, 10, (n, n))
+        return DyadicMatrix(num, int(rng.integers(0, 4)))
+
+    factored = scale(catalog.load("lodct").matrix, "VI").factored
+    seeds = [(s, s) for s in (random_seed(1), random_seed(2), catalog.load("bas2").matrix, random_seed(16))]
+    for seed, want_seed in seeds + [(factored, factored.dyadic())]:
+        n0 = want_seed.rows
+        longer = [tuple(rng.choice(DYADIC_METHOD_IDS, size=k).tolist()) for k in range(3, 8) if n0 << k <= 512]
+        for chain in singles + pairs + longer:
+            got = scale_to(seed, n0 << len(chain), chain).dyadic
+            assert _same_representation(got, _per_level(want_seed, chain)), (n0, chain)
+            maps = scaler._chain_maps(chain, n0)
+            assert not maps.idx.flags.writeable and not maps.coef.flags.writeable
+            assert maps.gain == int(np.abs(maps.coef).max())
+            assert maps.idx.dtype == np.min_scalar_type(n0 * n0 - 1)
+            assert maps.coef.dtype == np.min_scalar_type(-maps.gain - 1)
+            assert maps.idx.itemsize == 1 and maps.coef.itemsize <= 2
+    # the largest map a sweep to N = 1024 holds: uint8 index, int16 factors
+    maps = scaler._chain_maps(("VII",) * 7, 8)
+    assert maps.idx.shape == (1024, 1024) and maps.idx.nbytes + maps.coef.nbytes <= 3 << 20
 
 
 def test_chain_turns_to_float_at_its_first_exact_level():
