@@ -106,8 +106,10 @@ def butterfly(half: int) -> DyadicMatrix:
     """[[I, Ibar], [Ibar, -I]] for N = half: diag(I, -I) plus the 2N-point reversal."""
     if half < 1:
         raise ValueError("butterfly half-size must be at least 1")
-    signs = np.repeat([1, -1], half)
-    return gather_matrix(np.arange(2 * half), signs) + gather_matrix(*counter_identity(2 * half))
+    rows = np.arange(2 * half)
+    num = np.diag(np.where(rows < half, 1, -1))
+    num[rows, rows[::-1]] += 1  # the reversal never meets the diagonal of an even size
+    return DyadicMatrix(num)
 
 
 def perfect_shuffle(half: int) -> np.ndarray:

@@ -35,6 +35,7 @@ up to N = 128 the leaf writes its rows where the shuffles put them, ending the
 plan.  The stages work on numerators: integer input stays exact (``growth``
 raises OverflowError before int64 could wrap), and an integer batch runs on
 the float64 stages where ``growth`` proves them exact; float input in float64.
+One exact vector runs the same int64 stages flat, one numpy call each.
 """
 from __future__ import annotations
 
@@ -52,7 +53,9 @@ from .exact import butterfly, gather_matrix
 from .matkit import (
     NUMERATOR_BITS,
     DyadicMatrix,
+    _INT64,
     _as_int_array,
+    _guard,
     _integer,
     _peak,
     aligned_numerators,
@@ -329,6 +332,13 @@ class _Gather:
         x = x.take(self._take, axis=1, mode="clip")
         return x if column is None else np.multiply(x, column, out=x)
 
+    def vector(self, x: np.ndarray) -> np.ndarray:
+        """``run`` on one int64 vector of the plan's size, flat."""
+        if self.unpermuted:
+            return np.positive(x) if self.mult is None else np.multiply(x, self.mult)
+        x = x.take(self._take, mode="clip")
+        return x if self.mult is None else np.multiply(x, self.mult, out=x)
+
     def __str__(self) -> str:
         n = self.index.size
         if self.mult is None:
@@ -378,6 +388,10 @@ class _Butterfly(_BlockStage):
         x = x.reshape(-1, self.k, self.rows * cols)
         return np.matmul(self.hadamard_real if x.dtype.kind == "f" else self.hadamard, x)
 
+    def vector(self, x: np.ndarray) -> np.ndarray:
+        """``run`` on one int64 vector: the ``count`` first blocks stay apart."""
+        return np.matmul(self.hadamard, x.reshape(-1, self.k, self.rows)).reshape(-1)
+
     def __str__(self) -> str:
         size = 2 * self.half
         tail = "" if self.slices is None else f", slices in order {self.slices.tolist()}"
@@ -423,6 +437,11 @@ class _Dense(_BlockStage):
         out = np.empty((len(x), self.block, self.count, cols), x.dtype)
         np.matmul(num, x, out=out.swapaxes(1, 2))
         return out
+
+    def vector(self, x: np.ndarray) -> np.ndarray:
+        """``run`` on one int64 vector; interleaved rows take one transposed copy."""
+        y = np.matmul(self.num, x.reshape(self.count, self.block, 1))
+        return (y.reshape(self.count, self.block).T if self.interleaves else y).ravel()
 
     def __str__(self) -> str:
         cols = ", columns in pair order" if self.paired else ""
@@ -686,16 +705,38 @@ class Plan:
         DyadicMatrix shaped like the input: (N,) for a vector, (N, B) for a batch.
 
         One pass: one conversion, one peak (OverflowError where peak times
-        ``growth`` reaches 2**62), one shape check, the stages (float64 ones for
-        a wider batch below 2**53) and one common-power-of-two reduction."""
+        ``growth`` reaches 2**62), one shape check, the stages (flat on a
+        vector, float64 ones for a wider batch below 2**53) and one
+        common-power-of-two reduction."""
         num, shift, peak = aligned_numerators(x, self.growth)
         _check_rows(num.shape, self.size)
-        if num.ndim == 2 and num.shape[1] > 1 and peak * self.growth < 2**53:
+        if num.ndim == 1:
+            out = self._vector(num)
+        elif num.shape[1] > 1 and peak * self.growth < 2**53:
             out = self.run(num.astype(np.float64))
             out = np.multiply(out, 2.0**self.shift, out=out).astype(np.int64)
         else:
             out = self.run(num)
         return DyadicMatrix._owning(out, shift + self.shift)
+
+    def _apply_vector(self, x: np.ndarray) -> DyadicMatrix:
+        """:meth:`apply_exact` of ``x``, a 1-D int, uint or bool array as
+        :func:`apply` hands it over, without the conversion layers: the same
+        peak guard, length check, flat stages and reduction."""
+        _guard(_peak(x), self.growth)
+        _check_rows(x.shape, self.size)
+        x = x if x.dtype is _INT64 else x.astype(np.int64)
+        return DyadicMatrix._owning(self._vector(x), self.shift)
+
+    def _vector(self, x: np.ndarray) -> np.ndarray:
+        """The stages down one int64 vector of the plan's size, each one flat
+        numpy call; like :meth:`run`, the result is never ``x``."""
+        stages = self._executed
+        if not stages:
+            return x.copy()
+        for st in stages:
+            x = st.vector(x)
+        return x
 
     def apply_real(self, x: np.ndarray) -> np.ndarray:
         """Float image of a vector, or of axis -2 of an (..., N, B) array."""
@@ -731,6 +772,8 @@ def apply(ft: FactoredTransform, x) -> DyadicMatrix | np.ndarray:
     values = np.asarray(seq)
     kind = values.dtype.kind
     if kind in "iub":
+        if values.ndim == 1:
+            return ft.plan._apply_vector(values)
         return ft.apply_exact(values)  # checks the shape
     if kind == "f" and not isinstance(seq, np.ndarray):
         values, kind = np.array(seq, dtype=object), "O"  # ints past int64 make numpy pick float64

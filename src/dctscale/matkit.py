@@ -105,12 +105,17 @@ def aligned_numerators(values, growth: int) -> tuple[np.ndarray, int, int]:
         pairs = [_dyadic(v) for v in arr.flat]
         shift = max((s for _, s in pairs), default=0)
         arr = np.array([p << (shift - s) for p, s in pairs], dtype=object).reshape(arr.shape)
-    peak = _peak(arr)
+    peak = _guard(_peak(arr), growth)
+    return arr if arr.dtype is _INT64 else arr.astype(np.int64), shift, peak
+
+
+def _guard(peak: int, growth: int) -> int:
+    """``peak``; OverflowError where it times ``growth`` reaches 2**62."""
     if peak * growth >= _NUM_LIMIT:
         raise OverflowError(
             f"input magnitude {peak} times worst-case growth {growth} reaches 2**{NUMERATOR_BITS}"
         )
-    return arr if arr.dtype is _INT64 else arr.astype(np.int64), shift, peak
+    return peak
 
 
 def _dyadic(value) -> tuple[int, int]:
@@ -301,20 +306,6 @@ class DyadicMatrix:
             return DyadicMatrix(self._num @ other._num, shift)  # exact in int64
         return DyadicMatrix._from_ints(self._num.astype(object) @ other._num.astype(object), shift)
 
-    def _aligned(self, other: "DyadicMatrix"):
-        shift = max(self._shift, other._shift)
-        a = self._num << (shift - self._shift)
-        b = other._num << (shift - other._shift)
-        return a, b, shift
-
-    def __add__(self, other) -> "DyadicMatrix":
-        if not isinstance(other, DyadicMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError("dimension mismatch in matrix sum")
-        a, b, shift = self._aligned(other)
-        return DyadicMatrix(a + b, shift)
-
     def transpose(self) -> "DyadicMatrix":
         return DyadicMatrix(self._num.T, self._shift)
 
@@ -327,8 +318,9 @@ class DyadicMatrix:
             return NotImplemented
         if self.shape != other.shape:
             return False
-        a, b, _ = self._aligned(other)
-        return bool(np.array_equal(a, b))
+        shift = max(self._shift, other._shift)
+        a = self._num << (shift - self._shift)
+        return bool(np.array_equal(a, other._num << (shift - other._shift)))
 
     def __hash__(self):
         return hash((self.shape, self._shift, self._num.tobytes()))

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from dctscale import catalog, matkit, scaler
@@ -1055,6 +1055,224 @@ def test_one_column_attains_the_growth_bound_exactly():
         for past in (bound + 1, -bound - 1):
             with pytest.raises(OverflowError):
                 apply(ft, [past] + x[1:])
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_one_vector_takes_the_vector_route_with_every_check(n, monkeypatch):
+    # rdct VII at N = 16, 64 and 256, where the plan runs two butterfly runs,
+    # the second on 16 blocks, and ends with a gather.  One vector of ints,
+    # uints or bools, as a list, a tuple or a 1-D array, of Fractions, or a
+    # vector DyadicMatrix runs the stages flat (Plan._vector, no Plan.run),
+    # and gives the numerators and shift of its (N, 1) batch and of the
+    # dense exact product.  A vector through apply and through
+    # FactoredTransform.apply_exact, and the batch route, all run the largest
+    # peak whose product with growth stays below 2**62, raise the same
+    # OverflowError at 2**62 before any stage, and raise the same ValueError
+    # for a wrong length
+    scaled = _built("rdct", ("VII",) * (n.bit_length() - 4))
+    ft, plan = scaled.factored, scaled.factored.plan
+    if n == 256:
+        assert [type(st) for st in plan._executed] == [_Gather, _Butterfly, _Butterfly, _Dense, _Gather]
+        assert plan._executed[2].count == 16
+    routes = []
+    vector, run = Plan._vector, Plan.run
+    monkeypatch.setattr(Plan, "_vector", lambda p, x: routes.append("vector") or vector(p, x))
+    monkeypatch.setattr(Plan, "run", lambda p, x: routes.append("run") or run(p, x))
+    num, shift = scaled.dyadic.numerators().astype(object), scaled.dyadic.shift
+    ints = np.random.default_rng(n).integers(-256, 256, size=n)
+    ints[:2] = 255, -256
+    u8, eighths = ((ints + 256) // 2).astype(np.uint8), [Fraction(int(v), 8) for v in ints]
+    given = {  # kind: (vector, its (N, 1) batch, its numerators, their shift)
+        "list": (ints.tolist(), [[v] for v in ints.tolist()], ints, 0),
+        "tuple": (tuple(ints.tolist()), tuple((v,) for v in ints.tolist()), ints, 0),
+        "int64": (ints, ints[:, None], ints, 0),
+        "int16": (ints.astype(np.int16), ints.astype(np.int16)[:, None], ints, 0),
+        "uint8": (u8, u8[:, None], u8, 0),
+        "bool": (ints > 0, (ints > 0)[:, None], ints > 0, 0),
+        "Fractions": (eighths, [[v] for v in eighths], ints, 3),
+        "DyadicMatrix": (DyadicMatrix(ints, 3), DyadicMatrix(ints[:, None], 3), ints, 3),
+    }
+    for kind, (x, column, values, values_shift) in given.items():
+        routes.clear()
+        vec = apply(ft, x)
+        col = apply(ft, column)
+        assert routes == ["vector", "run"], kind
+        assert vec.shape == (n,) and col.shape == (n, 1), kind
+        assert np.array_equal(vec.numerators(), col.numerators()[:, 0]) and vec.shift == col.shift, kind
+        assert _is_exactly(vec, num @ values.astype(object), shift + values_shift), kind
+        if isinstance(x, np.ndarray):
+            assert not np.shares_memory(vec._num, x), kind
+    growth = plan.growth
+    for peak, raises in ((((1 << 62) - 1) // growth, False), (-(-(1 << 62) // growth), True)):
+        assert (peak * growth >= 1 << 62) is raises
+        for sign in (1, -1):
+            x = np.zeros(n, np.int64)
+            x[n // 2], x[0] = sign * peak, 3
+            routes.clear()
+            outcomes = [_outcome(ft, x), _outcome(ft, x.tolist()), _outcome(ft, x[:, None]), _outcome(ft.apply_exact, x)]
+            assert routes == ([] if raises else ["vector", "vector", "run", "vector"]), routes
+            if raises:
+                assert outcomes[0][0] is OverflowError and outcomes.count(outcomes[0]) == 4, outcomes
+                continue
+            for got in outcomes:
+                assert _is_exactly(got, (num @ x.astype(object)).reshape(got.shape), shift)
+    long = np.ones(n + 1, np.int64)
+    errors = [_outcome(ft, long), _outcome(ft, long.tolist()), _outcome(ft.apply_exact, long)]
+    assert errors[0][0] is ValueError and errors.count(errors[0]) == 3, errors
+
+
+def _outcome(f, x):
+    """``apply(f, x)`` where ``f`` is a transform, else ``f(x)``: its result, or
+    its error's type and text."""
+    try:
+        return apply(f, x) if isinstance(f, FactoredTransform) else f(x)
+    except (OverflowError, ValueError) as error:
+        return type(error), str(error)
+
+
+# ── the plan compiler's contract over the whole factor grammar ────────────
+
+
+@st.composite
+def _grammar(draw, n: int = 0, depth: int = 0):
+    """``(n, factors)``: 1 to 4 factors of size ``n``, 2 to 16 at the top, as
+    data: gathers with any index (the identity, the perfect shuffle, a
+    permutation or any other), multipliers in {0, ±1, ±2, 3, ±4} and
+    shifts 0 to 3; butterflies; leaves with entries in ±3 over shifts 0 to 2;
+    and block-diags nested two deep."""
+    n = n or draw(st.integers(2, 16))
+    # butterflies and block-diags drawn twice as often, so that runs of
+    # butterfly levels on several blocks come up
+    kinds = ["gather", "leaf"] + ["butterfly"] * 2 * (n % 2 == 0) + ["block-diag"] * 2 * (depth < 2 and n > 1)
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "gather":
+            shuffle = st.just(perfect_shuffle(n // 2).tolist()) if n % 2 == 0 else st.nothing()
+            anything = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+            index = draw(st.just(list(range(n))) | shuffle | st.permutations(range(n)) | anything)
+            mults = draw(st.sampled_from(((1, -1), (1, -1, 2, -2, 4, -4), (0, 1, -1, 2, -2, 3, 4, -4))))
+            mult = draw(st.none() | st.lists(st.sampled_from(mults), min_size=n, max_size=n))
+            factors.append((kind, list(index), mult, draw(st.integers(0, 3))))
+        elif kind == "leaf":
+            row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+            factors.append((kind, draw(st.lists(row, min_size=n, max_size=n)), draw(st.integers(0, 2))))
+        elif kind == "butterfly":
+            factors.append((kind,))
+        else:
+            count = draw(st.sampled_from([c for c in range(2, n + 1) if n % c == 0]))
+            factors.append((kind, count, draw(_grammar(n // count, depth + 1))))
+    return n, factors
+
+
+def _grammar_transform(tree) -> FactoredTransform:
+    n, factors = tree
+    built = []
+    for kind, *args in factors:
+        if kind == "gather":
+            built.append(Factor.gather(*args))
+        elif kind == "leaf":
+            built.append(Factor.leaf(DyadicMatrix(*args)))
+        elif kind == "butterfly":
+            built.append(Factor.butterfly(n))
+        else:
+            built.append(Factor.block_diag(_grammar_transform(args[1]), args[0]))
+    return FactoredTransform(n, tuple(built))
+
+
+def _grammar_product(tree) -> tuple[np.ndarray, int]:
+    """The exact product of the factors as Python-int numerators over
+    ``2**shift``, each factor's matrix written from its definition, without
+    Factor, Plan or the factor product of FactoredTransform.dyadic."""
+    n, factors = tree
+    num, shift = np.eye(n, dtype=np.int64).astype(object), 0
+    for kind, *args in factors:
+        m, s = np.zeros((n, n), dtype=np.int64).astype(object), 0
+        if kind == "gather":
+            index, mult, s = args
+            for i, j in enumerate(index):
+                m[i, j] = 1 if mult is None else mult[i]
+        elif kind == "leaf":
+            m, s = np.array(args[0], dtype=object), args[1]
+        elif kind == "butterfly":  # [[I, Ibar], [Ibar, -I]]
+            for i in range(n):
+                m[i, i] = 1 if i < n // 2 else -1
+                m[i, n - 1 - i] += 1
+        else:
+            count, block = args
+            b, s = _grammar_product(block)
+            size = n // count
+            for k in range(0, n, size):
+                m[k : k + size, k : k + size] = b
+        num, shift = num @ m, shift + s
+    return num, shift
+
+
+def _is_exactly(got: DyadicMatrix, num: np.ndarray, shift: int) -> bool:
+    """Whether ``got`` equals ``num / 2**shift``, compared in Python ints."""
+    mine = got.numerators().astype(object) << shift
+    return got.shape == num.shape and np.array_equal(mine, num.astype(object) << got.shift)
+
+
+def _as_tree(ft: FactoredTransform) -> tuple:
+    """The grammar's data of a built transform, read from its factors."""
+    factors = []
+    for f in ft.factors:
+        g = f.payload
+        if f.kind is FactorKind.GATHER:
+            factors.append(("gather", g.index.tolist(), None if g.mult is None else g.mult.tolist(), g.shift))
+        elif f.kind is FactorKind.LEAF:
+            factors.append(("leaf", g.numerators().tolist(), g.shift))
+        elif f.kind is FactorKind.BUTTERFLY:
+            factors.append(("butterfly",))
+        else:
+            factors.append(("block-diag", f.size // g.size, _as_tree(g)))
+    return ft.size, factors
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(tree=_grammar(), seed=st.integers(0, 2**32 - 1))
+# plans that random factors seldom build: two doublings, whose butterfly run
+# takes its slices out of order for the leaf to write its rows in place, and
+# a shift that goes into the butterfly run before it
+@example(tree=_as_tree(scale_to(RDCT.matrix, 32, ("VII", "VII")).factored), seed=1)
+@example(tree=_as_tree(scale_to(SDCT.matrix, 32, ("I", "JAM")).factored), seed=2)
+@example(tree=(16, [("gather", list(range(16)), None, 1), ("block-diag", 8, (2, [("butterfly",)]))]), seed=3)
+def test_plans_keep_the_compilers_contract_over_the_factor_grammar(tree, seed):
+    # any plan of the grammar gives, on an int batch, on one int vector (the
+    # vector route) and on float input, the exact product of its factors as
+    # defined: exact on ints, within 1e-12 on floats relative to growth times
+    # the input's peak over 2**shift (the plan's bound on every stage); the
+    # executed stages carry the plan's whole shift, no result shares the
+    # input's memory, FactoredTransform.dyadic() is that product, and
+    # OverflowError comes exactly where peak times growth reaches 2**62
+    ft = _grammar_transform(tree)
+    plan, n = ft.plan, ft.size
+    num, shift = _grammar_product(tree)
+    assert sum(st.shift for st in plan._executed) == plan.shift
+    bound = ((1 << 62) - 1) // plan.growth
+    rng = np.random.default_rng(seed)
+    x = np.clip(rng.integers(-99, 100, size=(n, rng.integers(2, 5))), -bound, bound)
+    for given in (x, x[:, 0]):
+        got = apply(ft, given)
+        assert _is_exactly(got, num @ given.astype(object), shift)
+        assert not np.shares_memory(got._num, given)
+    xf = rng.normal(size=(n, 3))
+    got = apply(ft, xf)
+    want = num.astype(np.float64) @ xf / 2.0**shift
+    assert np.max(np.abs(got - want)) <= 1e-12 * plan.growth * np.max(np.abs(xf)) / 2.0**plan.shift
+    assert not np.shares_memory(got, xf)
+    if max(abs(v) for v in num.flat) < 1 << 62:
+        assert _is_exactly(ft.dyadic(), num, shift)
+    # inputs at the edge: the peak just below, at and just past the bound
+    peak = max(0, bound + int(rng.integers(-1, 2)))
+    x[rng.integers(n), 0] = rng.choice((peak, -peak))
+    for given in (x, x[:, 0]):
+        if peak * plan.growth >= 1 << 62:
+            with pytest.raises(OverflowError):
+                apply(ft, given)
+        else:
+            assert _is_exactly(apply(ft, given), num @ given.astype(object), shift)
 
 
 def test_executed_plan_text_is_pinned():

