@@ -10,11 +10,11 @@ from dctscale.exact import (
     IDENTITY_NAMES,
     TransformKind,
     bit_reversal,
-    butterfly,
     perfect_shuffle,
     transform_matrix,
     verify_identity,
 )
+from dctscale.fastpath import Factor, FactoredTransform, apply
 
 np.set_printoptions(precision=4, suppress=True, linewidth=120)
 
@@ -33,8 +33,8 @@ x = np.arange(8)
 print("perfect shuffle of 8 indices:", x[perfect_shuffle(4)].tolist())
 print("bit reversal of 8 indices:  ", x[bit_reversal(8)].tolist())
 
-bf = butterfly(2)
-print("butterfly acting on [1 2 3 4]:", [str(v) for v in bf.apply([1, 2, 3, 4])])
+bf = FactoredTransform(4, (Factor.butterfly(4),))
+print("butterfly acting on [1 2 3 4]:", [str(v) for v in apply(bf, [1, 2, 3, 4])])
 print()
 
 ################################################## IDENTITY RESIDUALS

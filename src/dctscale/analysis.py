@@ -9,7 +9,7 @@ against the printed values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -240,107 +240,64 @@ def render(docs, fmt: str) -> str:
     raise ValueError(f"unknown table format {fmt!r}; choose from {', '.join(TABLE_FORMATS)}")
 
 
-def _scaling_families_table() -> TableDocument:
-    columns = tuple(f"N={n}" for n in golden.SCALING_FAMILY_SEED_SIZES)
+def _table(table_id, columns, formats, rows, computed, printed, tolerance) -> TableDocument:
+    """One reference table: ``computed(row)`` and ``printed(row)`` give a row's
+    values in column order, ``tolerance(column)`` its ``(tolerance, relative)``."""
     cells = {}
-    for method in golden.METHOD_ROWS:
-        for col, seed_size, printed in zip(
-            columns,
-            golden.SCALING_FAMILY_SEED_SIZES,
-            golden.SCALING_FAMILIES[method],
-        ):
-            seed = transform_matrix(TransformKind.DCT2, seed_size)
-            doubled = scale(seed, method)
-            exact = transform_matrix(TransformKind.DCT2, 2 * seed_size)
-            err = frobenius_distance(doubled.c_hat, exact)
-            cells[(method, col)] = Cell(err, printed, golden.SCALING_FAMILIES_TOL)
-    return TableDocument(
-        table_id="scaling-families",
-        columns=columns,
-        formats=("%.3f",) * len(columns),
-        row_labels=golden.METHOD_ROWS,
-        cells=cells,
-    )
+    for row in rows:
+        for col, comp, prt in zip(columns, computed(row), printed(row)):
+            cells[(row, col)] = Cell(float(comp), float(prt), *tolerance(col))
+    return TableDocument(table_id, columns, formats, rows, cells)
 
 
-def _regression_table() -> TableDocument:
-    columns = ("m_hat", "b_hat", "chi2", "rmse")
-    cells = {}
-    for method in golden.METHOD_ROWS:
-        f = _method_fit(method)
-        printed = golden.REGRESSION_TABLE[method]
-        computed = (f.m_hat, f.b_hat, f.chi2, f.rmse)
-        for col, comp, prt in zip(columns, computed, printed):
-            if col in ("m_hat", "b_hat"):
-                cells[(method, col)] = Cell(comp, prt, golden.REGRESSION_COEFF_TOL)
-            else:
-                cells[(method, col)] = Cell(
-                    comp, prt, golden.REGRESSION_STAT_RELTOL, relative=True
-                )
-    return TableDocument(
-        table_id="linear-regression",
-        columns=columns,
-        formats=("%.3f", "%.3f", "%.3e", "%.3e"),
-        row_labels=golden.METHOD_ROWS,
-        cells=cells,
-    )
-
-
-def _break_point_table() -> TableDocument:
-    baseline = _method_fit("JAM")
-    rows = tuple(golden.BREAK_POINT_TABLE)
-    cells = {}
-    for method in rows:
-        x_star = break_point(baseline, _method_fit(method))
-        cells[(method, "x_star")] = Cell(
-            x_star, golden.BREAK_POINT_TABLE[method], golden.BREAK_POINT_TOL
+def _doubling_errors(method: str) -> list[float]:
+    """||scale(C_N) - C_2N||_F at each scaling-family seed size N."""
+    return [
+        frobenius_distance(
+            scale(transform_matrix(TransformKind.DCT2, n), method).c_hat,
+            transform_matrix(TransformKind.DCT2, 2 * n),
         )
-    return TableDocument(
-        table_id="break-point",
-        columns=("x_star",),
-        formats=("%.3f",),
-        row_labels=rows,
-        cells=cells,
-    )
+        for n in golden.SCALING_FAMILY_SEED_SIZES
+    ]
 
 
-def _metric_table(approx_id: str) -> TableDocument:
-    cells = {}
-    for method in golden.METHOD_ROWS:
-        report = evaluate(approx_id, method, size=16)
-        computed = (
-            report.d,
-            report.epsilon,
-            report.mse,
-            report.cg,
-            report.eta,
-            report.adds,
-            report.shifts,
-        )
-        printed = golden.METRIC_TABLES[approx_id][method]
-        for col, comp, prt in zip(golden.METRIC_COLUMNS, computed, printed):
-            cells[(method, col)] = Cell(float(comp), float(prt), golden.METRIC_TOLS[col])
-    return TableDocument(
-        table_id=f"metrics-{approx_id}",
-        columns=golden.METRIC_COLUMNS,
-        formats=("%.2f", "%.3f", "%.2f", "%.2f", "%.2f", "%d", "%d"),
-        row_labels=golden.METHOD_ROWS,
-        cells=cells,
-    )
+def _metric_row(approx_id: str, method: str) -> tuple:
+    r = evaluate(approx_id, method, size=16)
+    return (r.d, r.epsilon, r.mse, r.cg, r.eta, r.adds, r.shifts)
 
 
 def reproduce_table(table_id: str) -> TableDocument:
     """Recompute one reference table and diff it against the printed values."""
     if table_id == "scaling-families":
-        return _scaling_families_table()
+        columns = tuple(f"N={n}" for n in golden.SCALING_FAMILY_SEED_SIZES)
+        return _table(
+            table_id, columns, ("%.3f",) * len(columns), golden.METHOD_ROWS,
+            _doubling_errors, golden.SCALING_FAMILIES.__getitem__,
+            lambda col: (golden.SCALING_FAMILIES_TOL, False),
+        )
     if table_id == "linear-regression":
-        return _regression_table()
+        return _table(
+            table_id, ("m_hat", "b_hat", "chi2", "rmse"),
+            ("%.3f", "%.3f", "%.3e", "%.3e"), golden.METHOD_ROWS,
+            lambda m: astuple(_method_fit(m)), golden.REGRESSION_TABLE.__getitem__,
+            lambda col: (golden.REGRESSION_COEFF_TOL, False) if col in ("m_hat", "b_hat")
+            else (golden.REGRESSION_STAT_RELTOL, True),
+        )
     if table_id == "break-point":
-        return _break_point_table()
-    if table_id.startswith("metrics-"):
-        approx_id = table_id[len("metrics-") :]
-        if approx_id in golden.METRIC_TABLES:
-            return _metric_table(approx_id)
+        return _table(
+            table_id, ("x_star",), ("%.3f",), tuple(golden.BREAK_POINT_TABLE),
+            lambda m: (break_point(_method_fit("JAM"), _method_fit(m)),),
+            lambda m: (golden.BREAK_POINT_TABLE[m],),
+            lambda col: (golden.BREAK_POINT_TOL, False),
+        )
+    approx_id = table_id.removeprefix("metrics-")
+    if table_id.startswith("metrics-") and approx_id in golden.METRIC_TABLES:
+        return _table(
+            table_id, golden.METRIC_COLUMNS,
+            ("%.2f", "%.3f", "%.2f", "%.2f", "%.2f", "%d", "%d"), golden.METHOD_ROWS,
+            lambda m: _metric_row(approx_id, m), golden.METRIC_TABLES[approx_id].__getitem__,
+            lambda col: (golden.METRIC_TOLS[col], False),
+        )
     raise ValueError(
         f"unknown table {table_id!r}; choose from {', '.join(TABLE_IDS)}"
     )

@@ -225,9 +225,6 @@ class FactoredTransform:
         """The factors' product from the right (:func:`_times`)."""
         return _times(self.factors[:-1], self.factors[-1].dyadic())
 
-    def dense(self) -> np.ndarray:
-        return self.dyadic().to_real()
-
     @cached_property
     def plan(self) -> "Plan":
         """The compiled stages, built on first application and kept."""

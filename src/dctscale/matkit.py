@@ -220,14 +220,6 @@ class DyadicMatrix:
         return cls(num, shift)
 
     @classmethod
-    def identity(cls, n: int) -> "DyadicMatrix":
-        return cls(np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, n: int) -> "DyadicMatrix":
-        return cls(np.zeros((n, n), dtype=np.int64))
-
-    @classmethod
     def block_diag(cls, a: "DyadicMatrix", b: "DyadicMatrix") -> "DyadicMatrix":
         shift = max(a._shift, b._shift)
         out = np.zeros((a.rows + b.rows, a.cols + b.cols), dtype=np.int64)

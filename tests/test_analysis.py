@@ -226,6 +226,28 @@ def test_metric_tables_reproduce(approx_id):
             assert doc.cell(method, "d").printed == pytest.approx(0.2)
 
 
+def _golden_tolerance(table_id, column):
+    if table_id == "scaling-families":
+        return (golden.SCALING_FAMILIES_TOL, False)
+    if table_id == "linear-regression":
+        if column in ("m_hat", "b_hat"):
+            return (golden.REGRESSION_COEFF_TOL, False)
+        return (golden.REGRESSION_STAT_RELTOL, True)
+    if table_id == "break-point":
+        return (golden.BREAK_POINT_TOL, False)
+    return (golden.METRIC_TOLS[column], False)
+
+
+@pytest.mark.parametrize("table_id", TABLE_IDS)
+def test_every_cell_carries_its_column_tolerance(table_id):
+    # the rendered bytes show no relative flag that flips no ``ok``; this does
+    doc = reproduce_table(table_id)
+    assert set(doc.cells) == {(r, c) for r in doc.row_labels for c in doc.columns}
+    for (_, col), cell in doc.cells.items():
+        assert type(cell.computed) is float and type(cell.printed) is float
+        assert (cell.tolerance, cell.relative) == _golden_tolerance(table_id, col)
+
+
 def test_csv_and_json_serialization():
     doc = reproduce_table("scaling-families")
     rows = doc.csv_rows()

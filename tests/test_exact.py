@@ -250,7 +250,7 @@ def test_permutation_matrices_are_their_gathers():
             x = np.arange(2 * n) ** 2
             assert Factor.gather(index).dyadic() == m
             assert np.array_equal(m.numerators() @ x, x[index])
-            assert m @ m.T == DyadicMatrix.identity(2 * n)
+            assert m @ m.T == DyadicMatrix(np.eye(2 * n, dtype=np.int64))
 
 
 # ── identity registry ───────────────────────────────────────────────────────

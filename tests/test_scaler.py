@@ -140,7 +140,7 @@ def test_scaled_transform_fields():
     assert st.c_hat == pytest.approx(st.sigma @ st.dense, abs=1e-12)
     assert st.dyadic is not None and st.factored is not None
     assert st.dyadic.to_real() == pytest.approx(st.dense)
-    assert st.factored.dense() == pytest.approx(st.dense, abs=1e-12)
+    assert st.factored.dyadic().to_real() == pytest.approx(st.dense, abs=1e-12)
     assert st.factored.cost() == (60, 0)
 
 
@@ -349,7 +349,7 @@ def test_orthogonality_flag_is_sufficient(method):
 
 def _reference_blocks(method: str, n: int) -> tuple[DyadicMatrix, DyadicMatrix]:
     """(B-hat, G-hat) as products of the exact structural factors."""
-    ident = DyadicMatrix.identity(n)
+    ident = DyadicMatrix(np.eye(n, dtype=np.int64))
     ibar = structural_matrix(StructuralKind.IBAR, n)
     j = structural_matrix(StructuralKind.J, n)
     z = structural_matrix(StructuralKind.Z, n)
@@ -367,7 +367,7 @@ def _five_factor_product(t: DyadicMatrix, method: str) -> DyadicMatrix:
     """P · bd(I, B-hat) · bd(t, t) · bd(I, G-hat) · Bf, one literal product."""
     n = t.rows
     b_hat, g_hat = _reference_blocks(method, n)
-    ident = DyadicMatrix.identity(n)
+    ident = DyadicMatrix(np.eye(n, dtype=np.int64))
     return (
         structural_matrix(StructuralKind.PERFECT_SHUFFLE, n)
         @ DyadicMatrix.block_diag(ident, b_hat)
